@@ -29,7 +29,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .exactla import RatMatrix, format_rational, nullspace_basis, parse_rational, solve_affine
 from .tensor import (
@@ -39,7 +39,6 @@ from .tensor import (
     content_of,
     is_gauge_tensor,
     kulkarni,
-    multiset_count,
     sym_indices,
 )
 
@@ -312,6 +311,15 @@ class LinearJetComponent:
 # validation
 
 
+def _cyclic_sum(t: MultiTensor, a: int) -> MultiTensor:
+    """Sum of t over the cyclic permutations of slots a, a+1, a+2."""
+    cyc = list(range(t.arity))
+    cyc[a], cyc[a + 1], cyc[a + 2] = a + 1, a + 2, a
+    cyc2 = list(range(t.arity))
+    cyc2[a], cyc2[a + 1], cyc2[a + 2] = a + 2, a, a + 1
+    return t + t.permuted(cyc) + t.permuted(cyc2)
+
+
 def _curvature_block_violations(t: MultiTensor, level: int):
     """Symmetry checks on the last four slots, derivative slots frozen."""
     k = t.arity - 4
@@ -326,11 +334,7 @@ def _curvature_block_violations(t: MultiTensor, level: int):
     sigma = list(range(t.arity))
     sigma[k], sigma[k + 1], sigma[k + 2], sigma[k + 3] = sigma[k + 2], sigma[k + 3], sigma[k], sigma[k + 1]
     check(t - t.permuted(sigma), "pair_symmetry", (k + 1, k + 3))
-    cyc = list(range(t.arity))
-    cyc[k], cyc[k + 1], cyc[k + 2] = cyc[k + 1], cyc[k + 2], cyc[k]
-    cyc2 = list(range(t.arity))
-    cyc2[k], cyc2[k + 1], cyc2[k + 2] = cyc2[k + 2], cyc2[k], cyc2[k + 1]
-    check(t + t.permuted(cyc) + t.permuted(cyc2), "bianchi1", (k + 1, k + 2, k + 3))
+    check(_cyclic_sum(t, k), "bianchi1", (k + 1, k + 2, k + 3))
     return out
 
 
@@ -423,12 +427,7 @@ def validate_jet(jet: "CurvatureJet"):
     for level, t in enumerate(jet.levels):
         out.extend(_curvature_block_violations(t, level))
         if level >= 1:
-            cyc = list(range(t.arity))
-            a, b, c = level - 1, level, level + 1
-            cyc[a], cyc[b], cyc[c] = cyc[b], cyc[c], cyc[a]
-            cyc2 = list(range(t.arity))
-            cyc2[a], cyc2[b], cyc2[c] = cyc2[c], cyc2[a], cyc2[b]
-            defect = t + t.permuted(cyc) + t.permuted(cyc2)
+            defect = _cyclic_sum(t, level - 1)
             if not defect.is_zero():
                 out.append(Violation(level, "bianchi2", (level, level + 1, level + 2),
                                      _worst_index(defect)))
@@ -437,6 +436,12 @@ def validate_jet(jet: "CurvatureJet"):
             if not defect.is_zero():
                 out.append(Violation(level, "ricci", (i, i + 1), _worst_index(defect)))
     return out
+
+
+def _require_valid(jet: "CurvatureJet"):
+    violations = validate_jet(jet)
+    if violations:
+        raise ValueError("invalid jet: " + "; ".join(str(v) for v in violations))
 
 
 def validate_linear_component(c: LinearJetComponent):
@@ -449,12 +454,7 @@ def validate_linear_component(c: LinearJetComponent):
         if not defect.is_zero():
             out.append(Violation(k, "ricci", (i + 1, i + 2), _worst_index(defect)))
     if k >= 1:
-        cyc = list(range(t.arity))
-        a, b, c3 = k - 1, k, k + 1
-        cyc[a], cyc[b], cyc[c3] = cyc[b], cyc[c3], cyc[a]
-        cyc2 = list(range(t.arity))
-        cyc2[a], cyc2[b], cyc2[c3] = cyc2[c3], cyc2[a], cyc2[b]
-        defect = t + t.permuted(cyc) + t.permuted(cyc2)
+        defect = _cyclic_sum(t, k - 1)
         if not defect.is_zero():
             out.append(Violation(k, "bianchi2", (k, k + 1, k + 2), _worst_index(defect)))
     return out
@@ -492,9 +492,7 @@ def _symmetrize_level(t: MultiTensor, level: int) -> SymPairTensor:
 def symmetrize_jet(jet: CurvatureJet, validate: bool = True) -> SymJet:
     """Symmetrized jet; raises on an invalid input jet."""
     if validate:
-        violations = validate_jet(jet)
-        if violations:
-            raise ValueError("invalid jet: " + "; ".join(str(v) for v in violations))
+        _require_valid(jet)
     return SymJet(jet.space,
                   [_symmetrize_level(t, l) for l, t in enumerate(jet.levels)])
 
@@ -560,18 +558,18 @@ def young_symmetrize(t: MultiTensor) -> MultiTensor:
 
 
 # ---------------------------------------------------------------------------
-# linear jet space basis
+# the Bianchi constraint system: linear jet basis and extension by solve
 
 
 def _canonical_curvature_index(idx, k):
     """Canonical form of an index tuple under the curvature symmetries.
 
-    Derivative slots are sorted (linear components are symmetric
-    there); the four curvature slots run over their eight-element sign
-    group.  Returns (canonical_tuple, sign) or None when the orbit
-    forces the component to zero.
+    The four curvature slots after the k derivative slots run over their
+    eight-element sign group; the derivative slots are left as they
+    are.  Returns (canonical_tuple, sign) or None when the orbit forces
+    the component to zero.
     """
-    lead = tuple(sorted(idx[:k]))
+    lead = idx[:k]
     a, b, c, d = idx[k:]
     seen = {}
     for (p, q, s1) in ((a, b, 1), (b, a, -1)):
@@ -588,111 +586,99 @@ def _canonical_curvature_index(idx, k):
     return best, seen[best]
 
 
-def _normalize_row(terms):
-    """Scale an integer row to a canonical form for deduplication."""
-    items = sorted(terms.items())
-    g = 0
-    for _, c in items:
-        g = gcd_int(g, c)
-    if g == 0:
-        return None
-    first = next(c for _, c in items if c)
-    if first < 0:
-        g = -g
-    return tuple((key, c // g) for key, c in items)
+def _bianchi_system(space: Space, k: int, symmetric: bool, extra_rows=()):
+    """The Bianchi identities at level k as blocked integer systems.
+
+    Unknowns are the classes of (k+4)-index tuples under the curvature
+    sign group, and also under permutations of the derivative slots when
+    ``symmetric`` is set (linear jet components).  Rows are the first
+    and second Bianchi identities with zero right side, plus
+    ``extra_rows``, an iterable of ([(index, coeff), ...], rhs) pairs.
+    Each row is reduced to primitive integer form with its first
+    coefficient positive, its right side scaled alike, and duplicates
+    are dropped; since every row is content-homogeneous, the system
+    splits by index content.
+
+    Returns (canon, blocks): canon maps each index tuple to
+    (class, sign) or None, and blocks holds one (classes, RatMatrix,
+    rhs) per content, in sorted content order.
+    """
+    n = space.n
+    canon = {}
+    classes = defaultdict(set)
+    for idx in itertools.product(range(n), repeat=k + 4):
+        key = tuple(sorted(idx[:k])) + idx[k:] if symmetric else idx
+        res = canon[idx] = _canonical_curvature_index(key, k)
+        if res is not None:
+            classes[content_of(res[0], n)].add(res[0])
+
+    rows = defaultdict(set)
+
+    def add_row(index_terms, rhs):
+        terms = defaultdict(int)
+        for idx, coeff in index_terms:
+            res = canon[idx]
+            if res is not None:
+                terms[res[0]] += res[1] * coeff
+        items = sorted((key, c) for key, c in terms.items() if c)
+        if not items:
+            if rhs:
+                raise ArithmeticError("inconsistent forced-zero constraint")
+            return
+        g = gcd(*(c for _, c in items))
+        if items[0][1] < 0:
+            g = -g
+        row = tuple((key, c // g) for key, c in items)
+        rows[content_of(items[0][0], n)].add((row, Fraction(rhs) / g))
+
+    for idx in itertools.product(range(n), repeat=k + 4):
+        lead = idx[:k]
+        a, b, c, d = idx[k:]
+        add_row([(lead + (a, b, c, d), 1),
+                 (lead + (b, c, a, d), 1),
+                 (lead + (c, a, b, d), 1)], 0)
+        if k >= 1:
+            rest, x = lead[:-1], lead[-1]
+            add_row([(rest + (x, a, b, c, d), 1),
+                     (rest + (a, b, x, c, d), 1),
+                     (rest + (b, x, a, c, d), 1)], 0)
+    for index_terms, rhs in extra_rows:
+        add_row(index_terms, rhs)
+
+    blocks = []
+    for cont in sorted(classes):
+        cols = sorted(classes[cont])
+        col_index = {key: i for i, key in enumerate(cols)}
+        system = sorted(rows[cont])
+        matrix = RatMatrix(len(system), len(cols))
+        for r, (row, _) in enumerate(system):
+            for key, c in row:
+                matrix.set_at(r, col_index[key], c)
+        blocks.append((cols, matrix, [rhs for _, rhs in system]))
+    return canon, blocks
 
 
-def gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+def _scatter(space: Space, k: int, canon, values) -> MultiTensor:
+    """Dense level-k tensor from values on canonical classes."""
+    out = MultiTensor.zero(space, k + 4)
+    for idx, res in canon.items():
+        if res is not None:
+            v = values.get(res[0])
+            if v:
+                out.set(idx, res[1] * v)
+    return out
 
 
 def linear_jet_basis(space: Space, k: int):
     """Deterministic basis of the order-k linear jet components.
 
-    Components are canonicalized under the curvature sign group and
-    derivative-slot symmetry; the Bianchi identities become integer
-    constraint rows, split into blocks of fixed index content.
+    The nullspace of the homogeneous Bianchi system on
+    derivative-symmetric classes, one content block at a time.
     """
-    n = space.n
-    arity = k + 4
-
-    classes_by_content = defaultdict(list)
-    seen_classes = set()
-    canon_cache = {}
-    for idx in itertools.product(range(n), repeat=arity):
-        res = _canonical_curvature_index(idx, k)
-        canon_cache[idx] = res
-        if res is None:
-            continue
-        canon, _ = res
-        if canon not in seen_classes:
-            seen_classes.add(canon)
-            classes_by_content[content_of(canon, n)].append(canon)
-    for lst in classes_by_content.values():
-        lst.sort()
-
-    rows_by_content = defaultdict(set)
-
-    def add_row(index_sign_terms):
-        terms = defaultdict(int)
-        for idx, coeff in index_sign_terms:
-            res = canon_cache[idx]
-            if res is None:
-                continue
-            canon, sign = res
-            terms[canon] += sign * coeff
-        terms = {key: c for key, c in terms.items() if c}
-        if not terms:
-            return
-        row = _normalize_row(terms)
-        if row is not None:
-            cont = content_of(next(iter(terms)), n)
-            rows_by_content[cont].add(row)
-
-    for idx in itertools.product(range(n), repeat=arity):
-        lead = idx[:k]
-        a, b, c, d = idx[k:]
-        add_row([(lead + (a, b, c, d), 1),
-                 (lead + (b, c, a, d), 1),
-                 (lead + (c, a, b, d), 1)])
-        if k >= 1:
-            x1 = idx[k - 1]
-            rest = idx[:k - 1]
-            add_row([(rest + (x1, a, b, c, d), 1),
-                     (rest + (a, b, x1, c, d), 1),
-                     (rest + (b, x1, a, c, d), 1)])
-
-    basis = []
-    for cont in sorted(classes_by_content):
-        cols = classes_by_content[cont]
-        col_index = {key: i for i, key in enumerate(cols)}
-        rows = sorted(rows_by_content.get(cont, ()))
-        if rows:
-            mat_rows = []
-            for row in rows:
-                vec = [Fraction(0)] * len(cols)
-                for key, coeff in row:
-                    vec[col_index[key]] = Fraction(coeff)
-                mat_rows.append(vec)
-            vectors = nullspace_basis(RatMatrix.from_rows(mat_rows))
-        else:
-            vectors = [[Fraction(1) if i == j else Fraction(0) for i in range(len(cols))]
-                       for j in range(len(cols))]
-        for vec in vectors:
-            tensor = MultiTensor.zero(space, arity)
-            for idx in tensor.iter_indices():
-                res = canon_cache[idx]
-                if res is None:
-                    continue
-                canon, sign = res
-                ci = col_index.get(canon)
-                if ci is not None and vec[ci]:
-                    tensor.set(idx, sign * vec[ci])
-            basis.append(LinearJetComponent(space, k, tensor))
-    return basis
+    canon, blocks = _bianchi_system(space, k, symmetric=True)
+    return [LinearJetComponent(space, k, _scatter(space, k, canon, dict(zip(cols, vec))))
+            for cols, matrix, _ in blocks
+            for vec in nullspace_basis(matrix)]
 
 
 # short name: C is the linear span of components at one jet level
@@ -765,32 +751,11 @@ def extend_jet(jet: CurvatureJet, validate: bool = True) -> CurvatureJet:
     exactly.
     """
     if validate:
-        violations = validate_jet(jet)
-        if violations:
-            raise ValueError("invalid jet: " + "; ".join(str(v) for v in violations))
+        _require_valid(jet)
     s = symmetrize_jet(jet, validate=False)
     padded = SymJet(jet.space,
                     s.levels + [SymPairTensor.zero(jet.space, jet.order + 3)])
     return jet_from_symjet(padded)
-
-
-def _canonical_jet_index(idx, k):
-    """Like _canonical_curvature_index but without sorting derivative slots."""
-    lead = idx[:k]
-    a, b, c, d = idx[k:]
-    seen = {}
-    for (p, q, s1) in ((a, b, 1), (b, a, -1)):
-        for (r, t, s2) in ((c, d, 1), (d, c, -1)):
-            sign = s1 * s2
-            for blocks in ((p, q, r, t), (r, t, p, q)):
-                cand = lead + blocks
-                prev = seen.get(cand)
-                if prev is None:
-                    seen[cand] = sign
-                elif prev != sign:
-                    return None
-    best = min(seen)
-    return best, seen[best]
 
 
 def extend_jet_by_solve(jet: CurvatureJet, validate: bool = True) -> CurvatureJet:
@@ -804,106 +769,31 @@ def extend_jet_by_solve(jet: CurvatureJet, validate: bool = True) -> CurvatureJe
     will generally differ from ``extend_jet`` by a linear component.
     """
     if validate:
-        violations = validate_jet(jet)
-        if violations:
-            raise ValueError("invalid jet: " + "; ".join(str(v) for v in violations))
+        _require_valid(jet)
     space = jet.space
-    n = space.n
     k1 = jet.order + 1
-    arity = k1 + 4
-
-    canon_cache = {}
-    classes_by_content = defaultdict(list)
-    seen_classes = set()
-    for idx in itertools.product(range(n), repeat=arity):
-        res = _canonical_jet_index(idx, k1)
-        canon_cache[idx] = res
-        if res is None:
-            continue
-        canon, _ = res
-        if canon not in seen_classes:
-            seen_classes.add(canon)
-            classes_by_content[content_of(canon, n)].append(canon)
-    for lst in classes_by_content.values():
-        lst.sort()
-
-    rows_by_content = defaultdict(set)
-
-    def add_row(index_sign_terms, rhs):
-        terms = defaultdict(int)
-        for idx, coeff in index_sign_terms:
-            res = canon_cache[idx]
-            if res is None:
-                continue
-            canon, sign = res
-            terms[canon] += sign * coeff
-        terms = {key: c for key, c in terms.items() if c}
-        if not terms:
-            if rhs:
-                raise ArithmeticError("inconsistent forced-zero constraint")
-            return
-        items = tuple(sorted(terms.items()))
-        cont = content_of(items[0][0], n)
-        rows_by_content[cont].add((items, Fraction(rhs)))
-
-    # Ricci identities with right-hand sides from the lower levels.
     # The defect formula only reads levels <= k1 - 2, all known.
-    padded = CurvatureJet(space, jet.levels + [MultiTensor.zero(space, arity)])
-    for i in range(1, k1):
-        rhs_tensor = ricci_defect(padded, k1, i).scaled(-1)
+    padded = CurvatureJet(space, jet.levels + [MultiTensor.zero(space, k1 + 4)])
+
+    def ricci_rows():
+        # Ricci identities with right-hand sides from the lower levels:
         # defect = (T - T.swap) - rhs_of_lower_levels = -rhs here, so the
         # constraint on the unknown T is T - T.swap = -defect
-        for idx in itertools.product(range(n), repeat=arity):
-            swapped = idx[:i - 1] + (idx[i], idx[i - 1]) + idx[i + 1:]
-            if swapped <= idx:
-                continue
-            add_row([(idx, 1), (swapped, -1)], rhs_tensor.get(idx))
+        for i in range(1, k1):
+            rhs_tensor = ricci_defect(padded, k1, i).scaled(-1)
+            for idx in rhs_tensor.iter_indices():
+                swapped = idx[:i - 1] + (idx[i], idx[i - 1]) + idx[i + 1:]
+                if swapped > idx:
+                    yield [(idx, 1), (swapped, -1)], rhs_tensor.get(idx)
 
-    for idx in itertools.product(range(n), repeat=arity):
-        lead = idx[:k1]
-        a, b, c, d = idx[k1:]
-        add_row([(lead + (a, b, c, d), 1),
-                 (lead + (b, c, a, d), 1),
-                 (lead + (c, a, b, d), 1)], 0)
-        x1 = lead[-1]
-        rest = lead[:-1]
-        add_row([(rest + (x1, a, b, c, d), 1),
-                 (rest + (a, b, x1, c, d), 1),
-                 (rest + (b, x1, a, c, d), 1)], 0)
-
+    canon, blocks = _bianchi_system(space, k1, symmetric=False, extra_rows=ricci_rows())
     solution = {}
-    for cont in sorted(classes_by_content):
-        cols = classes_by_content[cont]
-        col_index = {key: i for i, key in enumerate(cols)}
-        constraints = sorted(rows_by_content.get(cont, ()))
-        if not constraints:
-            for key in cols:
-                solution[key] = Fraction(0)
-            continue
-        mat_rows = []
-        rhs = []
-        for items, r in constraints:
-            vec = [Fraction(0)] * len(cols)
-            for key, coeff in items:
-                vec[col_index[key]] = Fraction(coeff)
-            mat_rows.append(vec)
-            rhs.append(r)
-        x = solve_affine(RatMatrix.from_rows(mat_rows), rhs)
+    for cols, matrix, rhs in blocks:
+        x = solve_affine(matrix, rhs)
         if x is None:
             raise ArithmeticError("extension system is inconsistent")
-        for key, value in zip(cols, x):
-            solution[key] = value
-
-    top = MultiTensor.zero(space, arity)
-    for idx in top.iter_indices():
-        res = canon_cache[idx]
-        if res is None:
-            continue
-        canon, sign = res
-        v = solution.get(canon, Fraction(0))
-        if v:
-            top.set(idx, sign * v)
-    return CurvatureJet(space, jet.levels + [top])
+        solution.update(zip(cols, x))
+    return CurvatureJet(space, jet.levels + [_scatter(space, k1, canon, solution)])
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ class PolyMetric:
 
     ``parts`` maps the polynomial degree to a SymPairTensor of that
     symmetric arity.  The constructor does not check the gauge
-    condition; use ``make_normal_metric`` for validated construction.
+    condition; ``make_normal_metric`` and ``from_json_obj`` do.
     """
 
     space: Space
@@ -91,16 +91,13 @@ class PolyMetric:
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
-        parts = {}
-        for entry in obj["parts"]:
-            d = entry["degree"]
-            if d in parts:
-                raise ValueError(f"duplicate part of degree {d}")
-            parts[d] = SymPairTensor.from_json_obj({
+        return make_normal_metric(space, [
+            SymPairTensor.from_json_obj({
                 "n": obj["n"], "signature": obj["signature"],
-                "k": d, "components": entry["components"],
+                "k": entry["degree"], "components": entry["components"],
             })
-        return cls(space, parts)
+            for entry in obj["parts"]
+        ])
 
     def __repr__(self):
         return f"PolyMetric(n={self.space.n}, degrees={sorted(self.parts)})"

@@ -170,11 +170,15 @@ class SymPairTensor:
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
+        k = obj["k"]
         comps = {}
         for entry in obj["components"]:
-            key = (tuple(entry["sym"]), tuple(entry["pair"]))
-            comps[key] = comps.get(key, 0) + parse_rational(entry["value"])
-        return cls(space, obj["k"], comps)
+            sym, pair = tuple(entry["sym"]), tuple(entry["pair"])
+            if (len(sym) != k or len(pair) != 2
+                    or any(not isinstance(i, int) or not 0 <= i < space.n for i in sym + pair)):
+                raise ValueError(f"bad component index sym={list(sym)} pair={list(pair)}")
+            comps[(sym, pair)] = comps.get((sym, pair), 0) + parse_rational(entry["value"])
+        return cls(space, k, comps)
 
     def __repr__(self):
         return f"SymPairTensor(n={self.space.n}, k={self.k}, nnz={len(self.comps)})"

@@ -3,13 +3,16 @@
 Exit code contract: 0 success, 1 failed verification, 2 bad input.
 """
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetiso.cli import main
-from jetiso.metriclab import random_normal_metric
+from jetiso.jets import symmetrize_jet
+from jetiso.metriclab import curvature_jet_at_origin, random_normal_metric
 from jetiso.tensor import Space
 
 
@@ -171,6 +174,94 @@ class TestRoundtripCommand:
         code, out, _ = run(capsys, "roundtrip", str(f))
         assert code == 0
         assert "roundtrip exact through degree 4" in out
+
+
+def _n2_documents():
+    """Valid n=2 metric (degree 3), jet and symjet (order 1) documents."""
+    g = random_normal_metric(Space(2, (-1, 1)), 3, random.Random(7))
+    jet = curvature_jet_at_origin(g, 1)
+    return {"metric": g.to_json_obj(), "jet": jet.to_json_obj(),
+            "symjet": symmetrize_jet(jet).to_json_obj()}
+
+
+N2_DOCS = _n2_documents()
+# the commands that read each kind of document
+COMMANDS = {"metric": ("jet", "roundtrip"), "jet": ("expand", "extend"),
+            "symjet": ("expand",)}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("bad", [5, -1])
+    @pytest.mark.parametrize("command", ["jet", "roundtrip", "expand"])
+    def test_index_out_of_range(self, command, bad, tmp_path, capsys):
+        doc = copy.deepcopy(N2_DOCS["symjet" if command == "expand" else "metric"])
+        levels = doc["levels"] if command == "expand" else doc["parts"]
+        levels[0]["components"][0]["sym"][0] = bad
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, str(f))
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["jet", "roundtrip"])
+    def test_non_gauge_metric_part(self, command, tmp_path, capsys):
+        doc = {"n": 2, "signature": [1, 1], "parts": [
+            {"degree": 2, "components": [{"sym": [0, 0], "pair": [0, 0], "value": "1"}]}]}
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, str(f))
+        assert code == 2
+        assert "part of degree 2 is not a gauge tensor" in err
+
+
+def _paths(node, path=()):
+    """Every position below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid n=2 document with one field changed, and a command to read it."""
+    kind = draw(st.sampled_from(sorted(N2_DOCS)))
+    doc = copy.deepcopy(N2_DOCS[kind])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    change = draw(st.sampled_from(["out_of_range", "negative", "length", "type", "missing"]))
+    if change == "out_of_range":
+        parent[key] = draw(st.integers(2, 9))
+    elif change == "negative":
+        parent[key] = draw(st.integers(-9, -1))
+    elif change == "length" and isinstance(parent[key], list):
+        if parent[key] and draw(st.booleans()):
+            parent[key].pop()
+        else:
+            parent[key].append(0)
+    elif change == "type":
+        parent[key] = draw(st.sampled_from(["x", None, 1.5, True, [], {}]))
+    else:  # "missing", or "length" on a scalar
+        del parent[key]
+    return draw(st.sampled_from(COMMANDS[kind])), doc
+
+
+class TestMalformedInputFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=malformed_documents())
+    def test_exit_code_contract(self, case, tmp_path_factory):
+        command, doc = case
+        f = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        f.write_text(json.dumps(doc))
+        assert main([command, str(f)]) in (0, 1, 2)
 
 
 class TestVerifyCommand:

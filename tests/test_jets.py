@@ -5,7 +5,9 @@ asserted here is checked against geometry rather than against the
 module's own algebra.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -41,6 +43,7 @@ from jetiso.metriclab import (
     const_curvature_symjet,
     curvature_jet_at_origin,
     random_normal_metric,
+    random_symjet,
 )
 from jetiso.tensor import (
     Space,
@@ -286,6 +289,28 @@ class TestExtension:
         ext = extend_jet(jet.truncated(1))
         for level in range(2):
             assert ext.levels[level] == jet.levels[level]
+
+
+class TestPinnedOutputs:
+    """Exact outputs of the Bianchi-system solves, pinned by digest.
+
+    Property tests (valid, spans, counts) accept any basis or particular
+    solution; these digests catch a change in which one comes out.
+    """
+
+    def test_basis_and_extension_digest(self):
+        h = hashlib.sha256()
+        for n in (2, 3):
+            for signature in ((1,) * n, (-1,) + (1,) * (n - 1)):
+                space = Space(n, signature)
+                for k in (0, 1, 2):
+                    for b in linear_jet_basis(space, k):
+                        h.update(json.dumps(b.tensor.to_json_obj(), sort_keys=True).encode())
+                for order in (0, 1):
+                    s = random_symjet(space, order, random.Random(71 + 10 * n + order))
+                    ext = extend_jet_by_solve(jet_from_symjet(s))
+                    h.update(json.dumps(ext.to_json_obj(), sort_keys=True).encode())
+        assert h.hexdigest() == "2e50b6793ba8400f89ac1c0aed78d145f703cd7a5e17f3634d069f9fc38cab23"
 
 
 class TestEquivariance:
