@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .freealg import q_poly, qtilde_poly
-from .jets import CurvatureJet, SymJet, symmetrize_jet, validate_jet
+from .jets import CurvatureJet, SymJet, jet_from_symjet, symmetrize_jet, validate_jet
 from .jets import extend_jet as _extend_jet
 from .metriclab import (
     PolyMetric,
@@ -208,9 +209,7 @@ def cmd_example(args):
         raise InputError(f"bad curvature value {args.kappa!r}") from exc
     s = const_curvature_symjet(space, kappa, args.order)
     g = metric_from_symjet(s)
-    jet = curvature_jet_at_origin(g, args.order)
-    import os
-
+    jet = jet_from_symjet(s)
     os.makedirs(args.out, exist_ok=True)
     _dump_json(s.to_json_obj(), os.path.join(args.out, "symjet.json"))
     _dump_json(jet.to_json_obj(), os.path.join(args.out, "jet.json"))

@@ -40,6 +40,7 @@ from .tensor import (
     is_gauge_tensor,
     kulkarni,
     sym_indices,
+    transform_pair_tensor,
 )
 
 
@@ -511,7 +512,7 @@ def reconstruct_linear(s: SymPairTensor) -> LinearJetComponent:
     if k < 0:
         raise ValueError("need a tensor of degree at least 2")
     if not is_gauge_tensor(s):
-        raise ValueError("input is not a gauge tensor")
+        raise ValueError(f"input of degree {s.k} is not a gauge tensor")
     tensor = kulkarni(s).scaled(Fraction(-(k + 1), k + 3))
     return LinearJetComponent(s.space, k, tensor)
 
@@ -730,46 +731,16 @@ def component_span_solve(t: MultiTensor, basis):
 # conversion and extension
 
 
-def jet_from_symjet(s: SymJet) -> CurvatureJet:
-    """Curvature jet with the given symmetrization.
-
-    Goes through the metric: build the normal-coordinate metric whose
-    Taylor coefficients are generated by s, then differentiate its
-    curvature at the origin.
-    """
-    from . import metriclab
-
-    g = metriclab.metric_from_symjet(s)
-    return metriclab.curvature_jet_at_origin(g, s.order)
-
-
-def extend_jet(jet: CurvatureJet, validate: bool = True) -> CurvatureJet:
-    """Extend a valid jet by one order.
-
-    The canonical extension symmetrizes, pads with a zero top level, and
-    rebuilds through the metric; the lower levels are reproduced
-    exactly.
-    """
-    if validate:
-        _require_valid(jet)
-    s = symmetrize_jet(jet, validate=False)
-    padded = SymJet(jet.space,
-                    s.levels + [SymPairTensor.zero(jet.space, jet.order + 3)])
-    return jet_from_symjet(padded)
-
-
-def extend_jet_by_solve(jet: CurvatureJet, validate: bool = True) -> CurvatureJet:
-    """Extend a valid jet by solving the top-level identity system.
+def _extend(jet: CurvatureJet, h: SymPairTensor) -> CurvatureJet:
+    """Extend a valid jet by the one valid level that symmetrizes to h.
 
     The unknown top tensor satisfies inhomogeneous Ricci identities
     (right sides from the lower levels) plus the Bianchi and curvature
-    symmetries; any exact solution is a valid extension.  Solutions
-    form an affine space modulo linear jet components; the free
-    coordinates are set to zero, so the result is deterministic but
-    will generally differ from ``extend_jet`` by a linear component.
+    symmetries.  Its solutions form an affine space over the linear jet
+    components, on which symmetrization is a bijection: an exact
+    particular solution P is corrected by the linear component whose
+    symmetrization is h - sym(P).
     """
-    if validate:
-        _require_valid(jet)
     space = jet.space
     k1 = jet.order + 1
     # The defect formula only reads levels <= k1 - 2, all known.
@@ -793,7 +764,28 @@ def extend_jet_by_solve(jet: CurvatureJet, validate: bool = True) -> CurvatureJe
         if x is None:
             raise ArithmeticError("extension system is inconsistent")
         solution.update(zip(cols, x))
-    return CurvatureJet(space, jet.levels + [_scatter(space, k1, canon, solution)])
+    top = _scatter(space, k1, canon, solution)
+    top = top + reconstruct_linear(h - _symmetrize_level(top, k1)).tensor
+    return CurvatureJet(space, jet.levels + [top])
+
+
+def jet_from_symjet(s: SymJet) -> CurvatureJet:
+    """Curvature jet with the given symmetrization, built level by level."""
+    jet = CurvatureJet(s.space, [])
+    for h in s.levels:
+        jet = _extend(jet, h)
+    return jet
+
+
+def extend_jet(jet: CurvatureJet, validate: bool = True) -> CurvatureJet:
+    """Extend a valid jet by one order.
+
+    The canonical extension is the one whose new level symmetrizes to
+    zero; the lower levels are kept as they are.
+    """
+    if validate:
+        _require_valid(jet)
+    return _extend(jet, SymPairTensor.zero(jet.space, jet.order + 3))
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +814,4 @@ def transform_jet(jet: CurvatureJet, g: SignedPerm) -> CurvatureJet:
 
 
 def transform_symjet(s: SymJet, g: SignedPerm) -> SymJet:
-    from .tensor import transform_pair_tensor
-
     return SymJet(s.space, [transform_pair_tensor(h, g) for h in s.levels])

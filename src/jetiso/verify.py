@@ -20,20 +20,41 @@ from .freealg import (
     qtilde_recursive,
 )
 from .jets import (
-    component_span_solve,
+    CurvatureJet,
+    MultiTensor,
+    SymJet,
     extend_jet,
-    extend_jet_by_solve,
     hook_constant,
+    jet_from_symjet,
     linear_jet_basis,
     reconstruct_linear,
     symmetrize_component,
     symmetrize_jet,
     transform_jet,
+    transform_multi_tensor,
     transform_symjet,
     validate_jet,
     young_symmetrize,
 )
-from .metriclab import curvature_jet_at_origin
+from .metriclab import (
+    curvature_jet_at_origin,
+    metric_form_series,
+    metric_from_symjet,
+    parallel_transport_series,
+    random_normal_metric,
+    random_symjet,
+    transport_polynomial,
+)
+from .poly import Poly
+from .tensor import (
+    Space,
+    SymPairTensor,
+    curvature_jet_dim_bound,
+    gauge_basis,
+    gauge_dim,
+    random_signed_perm,
+    transform_pair_tensor,
+)
 
 
 @dataclass
@@ -91,11 +112,6 @@ def suite_freealg(max_k: int = 10):
 
 
 def suite_linear(n: int, max_k: int, seed: int = 0, trials: int = 2):
-    from .tensor import (
-        Space, curvature_jet_dim_bound, gauge_basis, gauge_dim,
-        random_signed_perm, transform_pair_tensor,
-    )
-
     space = Space.euclidean(n)
     out = []
     for k in range(max_k + 1):
@@ -121,7 +137,6 @@ def suite_linear(n: int, max_k: int, seed: int = 0, trials: int = 2):
         for k in range(min(max_k, 2) + 1):
             for s in gauge_basis(space, k + 2)[:3]:
                 lhs = reconstruct_linear(transform_pair_tensor(s, g)).tensor
-                from .jets import transform_multi_tensor
                 rhs = transform_multi_tensor(reconstruct_linear(s).tensor, g)
                 if lhs != rhs:
                     ok = False
@@ -130,8 +145,6 @@ def suite_linear(n: int, max_k: int, seed: int = 0, trials: int = 2):
 
 
 def suite_young(n: int, max_k: int):
-    from .tensor import Space
-
     space = Space.euclidean(n)
     out = []
     ok = (hook_constant(0), hook_constant(1), hook_constant(2)) == (12, 24, 80)
@@ -146,16 +159,13 @@ def suite_young(n: int, max_k: int):
 
 
 def suite_roundtrip(n: int, max_k: int, seed: int = 0, trials: int = 3):
-    from .metriclab import metric_from_symjet, random_normal_metric, random_symjet
-    from .jets import jet_from_symjet
-    from .tensor import Space
-
     space = Space.euclidean(n)
     out = []
     for k in range(max_k + 1):
         rng = random.Random(seed * 1000 + k)
         ok_jet = True
         ok_sym = True
+        ok_metric_route = True
         for _ in range(trials):
             s = random_symjet(space, k, rng)
             jet = jet_from_symjet(s)
@@ -163,9 +173,12 @@ def suite_roundtrip(n: int, max_k: int, seed: int = 0, trials: int = 3):
                 ok_jet = False
             if symmetrize_jet(jet, validate=False) != s:
                 ok_sym = False
+            if jet != curvature_jet_at_origin(metric_from_symjet(s), k):
+                ok_metric_route = False
         out.append(_result(f"roundtrip.symjet-n{n}-k{k}",
-                           ok_jet and ok_sym,
-                           f"valid={ok_jet} exact={ok_sym}"))
+                           ok_jet and ok_sym and ok_metric_route,
+                           f"valid={ok_jet} exact={ok_sym} "
+                           f"metric_route={ok_metric_route}"))
 
         ok_metric = True
         for _ in range(trials):
@@ -179,15 +192,6 @@ def suite_roundtrip(n: int, max_k: int, seed: int = 0, trials: int = 3):
 
 
 def suite_transport(n: int, max_k: int, seed: int = 0, trials: int = 3):
-    from .metriclab import (
-        metric_form_series,
-        parallel_transport_series,
-        random_normal_metric,
-        transport_polynomial,
-    )
-    from .poly import Poly
-    from .tensor import Space
-
     space = Space.euclidean(n)
     order = max_k + 2
     rng = random.Random(seed)
@@ -218,10 +222,8 @@ def suite_transport(n: int, max_k: int, seed: int = 0, trials: int = 3):
 
 
 def suite_extension(n: int, max_k: int, seed: int = 0, trials: int = 2):
-    from .jets import jet_from_symjet
-    from .metriclab import random_symjet
-    from .tensor import Space
-
+    """extend_jet against the metric route: differentiate the metric of
+    the symmetrized jet padded with a zero top level."""
     space = Space.euclidean(n)
     out = []
     for k in range(min(max_k, 2) + 1):
@@ -231,27 +233,22 @@ def suite_extension(n: int, max_k: int, seed: int = 0, trials: int = 2):
         for _ in range(trials):
             s = random_symjet(space, k, rng)
             jet = jet_from_symjet(s)
-            ext1 = extend_jet(jet, validate=False)
-            ext2 = extend_jet_by_solve(jet, validate=False)
-            if ext1.truncated(k) != jet or ext2.truncated(k) != jet:
+            ext = extend_jet(jet, validate=False)
+            if ext.truncated(k) != jet:
                 ok = False
                 detail = "extension does not restrict to the input"
-            if validate_jet(ext1) or validate_jet(ext2):
+            if validate_jet(ext):
                 ok = False
                 detail = "extension is not a valid jet"
-            diff = ext1.levels[k + 1] - ext2.levels[k + 1]
-            if component_span_solve(diff, linear_jet_basis(space, k + 1)) is None:
+            padded = SymJet(space, s.levels + [SymPairTensor.zero(space, k + 3)])
+            if ext != curvature_jet_at_origin(metric_from_symjet(padded), k + 1):
                 ok = False
-                detail = "routes differ by more than a linear component"
+                detail = "extension differs from the metric route"
         out.append(_result(f"extension.dual-routes-n{n}-k{k}", ok, detail))
     return out
 
 
 def suite_validator(n: int, max_k: int, seed: int = 0):
-    from .jets import jet_from_symjet
-    from .metriclab import random_symjet
-    from .tensor import Space, random_signed_perm
-
     space = Space.euclidean(n)
     out = []
     rng = random.Random(seed)
@@ -268,7 +265,6 @@ def suite_validator(n: int, max_k: int, seed: int = 0):
         probes = range(size) if size <= 200 else rng.sample(range(size), 50)
         for off in probes:
             mutated = jet.levels[:level] + [_bump(t, off)] + jet.levels[level + 1:]
-            from .jets import CurvatureJet
             if not validate_jet(CurvatureJet(space, mutated)):
                 detected = False
             total += 1
@@ -286,8 +282,6 @@ def suite_validator(n: int, max_k: int, seed: int = 0):
 
 
 def _bump(t, offset):
-    from .jets import MultiTensor
-
     res = MultiTensor(t.space, t.arity, t.data)
     res.data[offset] = res.data[offset] + 1
     return res

@@ -19,9 +19,9 @@ from jetiso.freealg import (
     qtilde_recursive,
 )
 from jetiso.jets import (
+    SymJet,
     component_span_solve,
     extend_jet,
-    extend_jet_by_solve,
     hook_constant,
     jet_from_symjet,
     linear_jet_basis,
@@ -44,6 +44,7 @@ from jetiso.metriclab import (
 from jetiso.poly import Poly
 from jetiso.tensor import (
     Space,
+    SymPairTensor,
     curvature_jet_dim_bound,
     eval_pair,
     gauge_basis,
@@ -224,8 +225,6 @@ def test_criterion_07_reconstruction():
             for k in range(kmax + 1):
                 for b in linear_jet_basis(space, k):
                     assert reconstruct_linear(symmetrize_component(b)).tensor == b.tensor
-                from jetiso.tensor import SymPairTensor
-
                 s = SymPairTensor(space, k + 2)
                 for h in gauge_basis(space, k + 2):
                     s = s + h.scaled(F(rng.randint(-3, 3)))
@@ -257,6 +256,7 @@ def test_criterion_09_round_trip():
                         assert symmetrize_jet(jet) == s, (n, k, seed)
                         g = metric_from_symjet(s)
                         jet2 = curvature_jet_at_origin(g, k)
+                        assert jet == jet2, (n, k, seed)
                         g2 = metric_from_symjet(symmetrize_jet(jet2))
                         for d in range(2, k + 3):
                             assert g2.part(d) == g.part(d), (n, k, seed, d)
@@ -269,14 +269,20 @@ def test_criterion_10_jet_extension():
             for k in (0, 1, 2):
                 g = random_normal_metric(space, k + 2, random.Random(50 + 10 * n + k))
                 jet = curvature_jet_at_origin(g, k)
-                a = extend_jet(jet)
-                b = extend_jet_by_solve(jet)
-                for ext in (a, b):
-                    assert ext.order == k + 1
-                    assert validate_jet(ext) == [], (n, k)
-                    for level in range(k + 1):
-                        assert ext.levels[level] == jet.levels[level], (n, k, level)
-                diff = a.levels[k + 1] - b.levels[k + 1]
+                ext = extend_jet(jet)
+                assert ext.order == k + 1
+                assert validate_jet(ext) == [], (n, k)
+                for level in range(k + 1):
+                    assert ext.levels[level] == jet.levels[level], (n, k, level)
+                # metric route: the metric of the padded symmetrized jet
+                s = symmetrize_jet(jet)
+                padded = SymJet(space, s.levels + [SymPairTensor.zero(space, k + 3)])
+                oracle = curvature_jet_at_origin(metric_from_symjet(padded), k + 1)
+                assert ext == oracle, (n, k)
+                # the source metric's own (k+1)-jet is another valid
+                # extension; it differs by a linear component
+                own = curvature_jet_at_origin(g, k + 1)
+                diff = own.levels[k + 1] - ext.levels[k + 1]
                 coords = component_span_solve(diff, linear_jet_basis(space, k + 1))
                 assert coords is not None, (n, k)
 

@@ -8,8 +8,11 @@ module's own algebra.
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,6 @@ from jetiso.jets import (
     component_span_solve,
     derivation_apply,
     extend_jet,
-    extend_jet_by_solve,
     hook_constant,
     jet_from_symjet,
     linear_jet_basis,
@@ -42,11 +44,13 @@ from jetiso.jets import (
 from jetiso.metriclab import (
     const_curvature_symjet,
     curvature_jet_at_origin,
+    metric_from_symjet,
     random_normal_metric,
     random_symjet,
 )
 from jetiso.tensor import (
     Space,
+    SymPairTensor,
     curvature_jet_dim_bound,
     is_gauge_tensor,
     random_signed_perm,
@@ -271,16 +275,22 @@ class TestExtension:
     @pytest.mark.parametrize("space", [E2, E3], ids=["e2", "e3"])
     def test_routes_agree_up_to_linear_span(self, space):
         for order in (0, 1):
-            jet = oracle_jet(space, order, seed=23 + order)
-            a = extend_jet(jet)
-            b = extend_jet_by_solve(jet)
-            assert a.order == order + 1 and b.order == order + 1
-            assert validate_jet(a) == []
-            assert validate_jet(b) == []
+            g = random_normal_metric(space, order + 2, random.Random(23 + order),
+                                     coeff_bound=2)
+            jet = curvature_jet_at_origin(g, order)
+            ext = extend_jet(jet)
+            assert ext.order == order + 1
+            assert validate_jet(ext) == []
             for level in range(order + 1):
-                assert a.levels[level] == jet.levels[level]
-                assert b.levels[level] == jet.levels[level]
-            diff = a.levels[order + 1] - b.levels[order + 1]
+                assert ext.levels[level] == jet.levels[level]
+            # equal to the metric route's extension, which pads the
+            # symmetrized jet with a zero top level
+            s = symmetrize_jet(jet)
+            padded = SymJet(space, s.levels + [SymPairTensor.zero(space, order + 3)])
+            assert ext == curvature_jet_at_origin(metric_from_symjet(padded), order + 1)
+            # the source metric's own jet extends it too, up to a linear component
+            own = curvature_jet_at_origin(g, order + 1)
+            diff = own.levels[order + 1] - ext.levels[order + 1]
             basis = linear_jet_basis(space, order + 1)
             assert component_span_solve(diff, basis) is not None
 
@@ -289,6 +299,35 @@ class TestExtension:
         ext = extend_jet(jet.truncated(1))
         for level in range(2):
             assert ext.levels[level] == jet.levels[level]
+
+
+    def test_non_gauge_level_names_its_degree(self):
+        s = random_symjet(E2, 1, random.Random(47))
+        bad = s.levels[0] + SymPairTensor(E2, 2, {((0, 0), (0, 1)): F(1)})
+        assert not is_gauge_tensor(bad)
+        with pytest.raises(ValueError, match="degree 2 is not a gauge tensor"):
+            jet_from_symjet(SymJet(E2, [bad, s.levels[1]]))
+
+
+class TestLayering:
+    def test_conversions_do_not_load_metriclab(self):
+        import jetiso
+
+        code = (
+            "import sys\n"
+            "from jetiso.jets import SymJet, extend_jet, jet_from_symjet\n"
+            "from jetiso.tensor import Space, gauge_basis\n"
+            "space = Space(3, (-1, 1, 1))\n"
+            "s = SymJet(space, [gauge_basis(space, 2)[0], gauge_basis(space, 3)[0]])\n"
+            "ext = extend_jet(jet_from_symjet(s))\n"
+            "assert ext.order == 2 and not ext.levels[0].is_zero()\n"
+            "assert 'jetiso.metriclab' not in sys.modules, 'metriclab was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jetiso.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPinnedOutputs:
@@ -308,9 +347,9 @@ class TestPinnedOutputs:
                         h.update(json.dumps(b.tensor.to_json_obj(), sort_keys=True).encode())
                 for order in (0, 1):
                     s = random_symjet(space, order, random.Random(71 + 10 * n + order))
-                    ext = extend_jet_by_solve(jet_from_symjet(s))
+                    ext = extend_jet(jet_from_symjet(s))
                     h.update(json.dumps(ext.to_json_obj(), sort_keys=True).encode())
-        assert h.hexdigest() == "2e50b6793ba8400f89ac1c0aed78d145f703cd7a5e17f3634d069f9fc38cab23"
+        assert h.hexdigest() == "dbd0d023e597eda4cff44a80ee8278f6a0d08b1ed2937b746aefdf52cabe3993"
 
 
 class TestEquivariance:
