@@ -156,12 +156,14 @@ def cmd_roundtrip(args):
     jet = curvature_jet_at_origin(g, k)
     s = symmetrize_jet(jet, validate=False)
     g2 = metric_from_symjet(s)
-    exact = all(g.part(d) == g2.part(d) for d in range(1, k + 3))
-    if exact:
-        print(f"roundtrip exact through degree {k + 2}")
-        return 0
-    print(f"roundtrip FAILED through degree {k + 2}")
-    return 1
+    for d in range(1, k + 3):
+        diff = g.part(d) - g2.part(d)
+        if not diff.is_zero():
+            print(f"roundtrip FAILED through degree {k + 2}: first difference at degree {d}, "
+                  f"{len(diff.comps)} components differ")
+            return 1
+    print(f"roundtrip exact through degree {k + 2}")
+    return 0
 
 
 def cmd_extend(args):

@@ -18,12 +18,10 @@ universal polynomials.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exactla import format_rational
 from .freealg import evaluate, q_poly, qtilde_poly
 from .jets import CurvatureJet, MultiTensor, SymJet
 from .poly import Poly
@@ -31,11 +29,10 @@ from .tensor import (
     PolyEnd,
     Space,
     SymPairTensor,
-    content_of,
     end_to_pair,
     gauge_basis,
     is_gauge_tensor,
-    multiset_count,
+    pair_matrix,
     pair_to_end,
 )
 
@@ -120,237 +117,80 @@ def make_normal_metric(space: Space, parts) -> PolyMetric:
     return PolyMetric(space, table)
 
 
-@dataclass
-class PowerSeriesTensor:
-    """Componentwise truncated polynomial series.
-
-    ``shape`` gives the index ranges of the component array; ``comps``
-    maps index tuples to polynomials in the base coordinates, exact up
-    to total degree ``trunc``.
-    """
-
-    space: Space
-    trunc: int
-    shape: tuple
-    comps: dict
-
-    def component(self, idx) -> Poly:
-        return self.comps.get(tuple(idx), Poly.zero(self.space.n))
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeriesTensor):
-            return False
-        if (self.space, self.trunc, self.shape) != (other.space, other.trunc, other.shape):
-            return False
-        keys = set(self.comps) | set(other.comps)
-        return all(self.component(k) == other.component(k) for k in keys)
-
-    def to_json_obj(self):
-        entries = []
-        for idx in sorted(self.comps):
-            p = self.comps[idx]
-            if p.is_zero():
-                continue
-            entries.append({
-                "idx": list(idx),
-                "terms": [{"mono": list(m), "coeff": format_rational(c)}
-                          for m, c in p.sorted_terms()],
-            })
-        return {
-            "n": self.space.n,
-            "signature": list(self.space.signature),
-            "trunc": self.trunc,
-            "shape": list(self.shape),
-            "components": entries,
-        }
-
-
 # ---------------------------------------------------------------------------
-# series plumbing (dict-of-Poly helpers, internal)
+# series: every matrix of truncated polynomials is a PolyEnd
 
 
-def _metric_series(g: PolyMetric):
-    """Dense dict (i, j) -> Poly for the full metric, exact (polynomial)."""
+def metric_form_series(g: PolyMetric, trunc: int) -> PolyEnd:
+    """The metric matrix H with H(x) = g_x, truncated to total degree trunc."""
     space = g.space
-    n = space.n
-    out = {(i, j): Poly.zero(n) for i in range(n) for j in range(n)}
-    for i in range(n):
-        out[(i, i)] = Poly.const(n, space.eps(i))
-    for degree, h in sorted(g.parts.items()):
-        for (sym, pair), value in h.comps.items():
-            mono = content_of(sym, n)
-            weight = multiset_count(sym) * value
-            p, q = pair
-            out[(p, q)] = out[(p, q)] + Poly(n, {mono: weight})
-            if p != q:
-                out[(q, p)] = out[(q, p)] + Poly(n, {mono: weight})
-    return out
+    total = PolyEnd.diagonal(space, space.signature)
+    for h in g.parts.values():
+        total = total + pair_matrix(h)
+    return total.truncated(trunc)
 
 
-def _matrix_mul(a, b, n, trunc):
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            acc = Poly.zero(n)
-            for m in range(n):
-                pa = a.get((i, m))
-                pb = b.get((m, j))
-                if pa is None or pb is None or pa.is_zero() or pb.is_zero():
-                    continue
-                acc = acc + pa.mul(pb, trunc)
-            if not acc.is_zero():
-                out[(i, j)] = acc
-    return out
+def inverse_series(g: PolyMetric, trunc: int) -> PolyEnd:
+    """Inverse metric g^{ij} as a truncated Neumann series.
 
-
-def _inverse_series_dict(g: PolyMetric, trunc):
-    """Neumann series for the inverse metric, truncated."""
-    space = g.space
-    n = space.n
-    gser = _metric_series(g)
-    # split g = g0 + h with g0 the constant diagonal; then
-    # g^{-1} = sum_m (-g0^{-1} h)^m g0^{-1}
-    minus_a = {}
-    for (i, j), p in gser.items():
-        tail = (p - Poly.const(n, space.eps(i)) if i == j else p).truncated(trunc)
-        if not tail.is_zero():
-            minus_a[(i, j)] = tail.scaled(-space.eps(i))
-    term = {(i, i): Poly.const(n, 1) for i in range(n)}
-    total = dict(term)
+    With g = eps (1 + A), where eps is the constant diagonal part,
+    g^{-1} = sum_m (-A)^m eps.
+    """
+    eps = PolyEnd.diagonal(g.space, g.space.signature)
+    minus_a = eps.mul(metric_form_series(g, trunc) - eps).scaled(-1)
+    term = total = PolyEnd.identity(g.space)
     for _ in range(trunc):
-        term = _matrix_mul(term, minus_a, n, trunc)
-        if not term:
+        term = term.mul(minus_a, trunc)
+        if term.is_zero():
             break
-        for key, p in term.items():
-            total[key] = total.get(key, Poly.zero(n)) + p
-    out = {}
-    for (i, j), p in total.items():
-        q = p.scaled(space.eps(j))
-        if not q.is_zero():
-            out[(i, j)] = q
-    return out
+        total = total + term
+    return total.mul(eps)
 
 
-def inverse_series(g: PolyMetric, trunc: int) -> PowerSeriesTensor:
-    """Inverse metric components g^{ij} as a truncated series."""
-    n = g.space.n
-    return PowerSeriesTensor(g.space, trunc, (n, n), _inverse_series_dict(g, trunc))
+def christoffel_series(g: PolyMetric, trunc: int) -> list:
+    """Connection matrices Gamma_j with (Gamma_j)[i, k] = Gamma^i_{jk}.
 
-
-def _christoffel_dict(g: PolyMetric, trunc):
-    """Gamma^i_{jk} truncated to the given total degree."""
+    Gamma_j = g^{-1} L_j / 2, where L_j[l, k] = d_j g_lk + d_k g_jl - d_l g_jk.
+    """
     space = g.space
     n = space.n
-    gser = _metric_series(g)
-    ginv = _inverse_series_dict(g, trunc)
-    dg = {}
-    for (l, k), p in gser.items():
-        for j in range(n):
-            d = p.diff(j).truncated(trunc)
-            if not d.is_zero():
-                dg[(j, l, k)] = d
-
-    def dpart(j, l, k):
-        return dg.get((j, l, k))
-
-    out = {}
-    half = Fraction(1, 2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = Poly.zero(n)
-                for l in range(n):
-                    gil = ginv.get((i, l))
-                    if gil is None:
-                        continue
-                    term = Poly.zero(n)
-                    for sign, key in ((1, (j, l, k)), (1, (k, j, l)), (-1, (l, j, k))):
-                        p = dpart(*key)
-                        if p is not None:
-                            term = term + (p if sign > 0 else -p)
-                    if not term.is_zero():
-                        acc = acc + gil.mul(term, trunc)
-                if not acc.is_zero():
-                    acc = acc.scaled(half)
-                    out[(i, j, k)] = acc
-                    if j != k:
-                        out[(i, k, j)] = acc
-    return out
-
-
-def christoffel_series(g: PolyMetric, trunc: int) -> PowerSeriesTensor:
-    """Christoffel symbols Gamma^i_{jk}, symmetric in (j, k)."""
-    n = g.space.n
-    return PowerSeriesTensor(g.space, trunc, (n, n, n), _christoffel_dict(g, trunc))
+    ginv = inverse_series(g, trunc)
+    metric = metric_form_series(g, trunc + 1)
+    dg = [metric.diff(a) for a in range(n)]
+    gamma = []
+    for j in range(n):
+        lowered = PolyEnd(space, {
+            (l, k): dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
+            for l in range(n) for k in range(n)
+        })
+        gamma.append(ginv.mul(lowered, trunc).scaled(Fraction(1, 2)))
+    return gamma
 
 
 def check_normal_gauge(g: PolyMetric) -> bool:
     """True when the radial contraction g_x(x, .) equals <x, .> exactly."""
-    space = g.space
-    n = space.n
-    for degree, h in g.parts.items():
-        radial = defaultdict(lambda: Poly.zero(n))
-        for (sym, pair), value in h.comps.items():
-            mono = content_of(sym, n)
-            weight = multiset_count(sym) * value
-            p, q = pair
-            for a, b in (((p), (q)), ((q), (p))) if p != q else (((p), (q)),):
-                bumped = list(mono)
-                bumped[a] += 1
-                radial[b] = radial[b] + Poly(n, {tuple(bumped): weight})
-        if any(not poly.is_zero() for poly in radial.values()):
-            return False
-    return True
+    n = g.space.n
+    # the matrix whose only row is x^T; x^T h(x) must vanish for every part
+    row = PolyEnd(g.space, {(0, a): Poly.variable(n, a) for a in range(n)})
+    return all(row.mul(pair_matrix(h)).is_zero() for h in g.parts.values())
 
 
-def _lowered_curvature_dict(g: PolyMetric, trunc):
-    """Fully lowered curvature R(a, b, c, d) as a series dict."""
-    space = g.space
-    n = space.n
-    gser = _metric_series(g)
-    gamma = _christoffel_dict(g, trunc + 1)
+def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
+    """Fully lowered curvature R(a, b, c, d) as a series dict.
 
-    def gm(i, j, k):
-        return gamma.get((i, j, k))
-
-    up = {}
-    for i in range(n):
-        for c in range(n):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    acc = Poly.zero(n)
-                    p = gm(i, b, c)
-                    if p is not None:
-                        acc = acc + p.diff(a)
-                    p = gm(i, a, c)
-                    if p is not None:
-                        acc = acc - p.diff(b)
-                    for m in range(n):
-                        p1, p2 = gm(i, a, m), gm(m, b, c)
-                        if p1 is not None and p2 is not None:
-                            acc = acc + p1.mul(p2, trunc)
-                        p1, p2 = gm(i, b, m), gm(m, a, c)
-                        if p1 is not None and p2 is not None:
-                            acc = acc - p1.mul(p2, trunc)
-                    acc = acc.truncated(trunc)
-                    if not acc.is_zero():
-                        up[(i, c, a, b)] = acc
-
+    The curvature 2-form has components R_ab = d_a Gamma_b - d_b Gamma_a
+    + Gamma_a Gamma_b - Gamma_b Gamma_a, so R(a, b, c, d) = (g R_ab)[d, c].
+    """
+    metric = metric_form_series(g, trunc)
     out = {}
-    for (i, c, a, b), p in up.items():
-        for d in range(n):
-            gid = gser.get((i, d))
-            if gid is None or gid.is_zero():
-                continue
-            prod = gid.mul(p, trunc)
-            if prod.is_zero():
-                continue
-            for key in ((a, b, c, d), (b, a, c, d)):
-                sign = 1 if key == (a, b, c, d) else -1
-                cur = out.get(key)
-                term = prod if sign > 0 else -prod
-                out[key] = term if cur is None else cur + term
-    return {key: p for key, p in out.items() if not p.is_zero()}
+    for a in range(g.space.n):
+        for b in range(a + 1, g.space.n):
+            ga, gb = gamma[a], gamma[b]
+            two_form = gb.diff(a) - ga.diff(b) + ga.mul(gb, trunc) - gb.mul(ga, trunc)
+            for (d, c), p in metric.mul(two_form, trunc).entries.items():
+                out[(a, b, c, d)] = p
+                out[(b, a, c, d)] = -p
+    return out
 
 
 def _covariant_derivative_dict(t, arity, gamma, n, trunc):
@@ -373,8 +213,9 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
         for s in range(arity):
             ms = idx[s]
             for j in range(n):
+                gamma_j = gamma[j].entries
                 for c in range(n):
-                    gp = gamma.get((ms, j, c))
+                    gp = gamma_j.get((ms, c))
                     if gp is None:
                         continue
                     prod = gp.mul(p, trunc)
@@ -390,8 +231,8 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
     """Jet of the curvature and its covariant derivatives at the origin."""
     space = g.space
     n = space.n
-    gamma = _christoffel_dict(g, order + 1)
-    cur = _lowered_curvature_dict(g, order)
+    gamma = christoffel_series(g, order + 1)
+    cur = _lowered_curvature_dict(g, gamma, order)
     levels = []
     level_trunc = order
     for level in range(order + 1):
@@ -411,6 +252,11 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
 # direction metric <- symmetrized jet (the universal polynomials at work)
 
 
+def _curvature_operators(s: SymJet):
+    """Assignment of the curvature operator of each level to its letter."""
+    return {level + 2: pair_to_end(h) for level, h in enumerate(s.levels)}
+
+
 def metric_from_symjet(s: SymJet) -> PolyMetric:
     """Normal-coordinate metric generated by a symmetrized jet.
 
@@ -419,90 +265,53 @@ def metric_from_symjet(s: SymJet) -> PolyMetric:
     by d!.
     """
     space = s.space
-    operators = {level + 2: pair_to_end(h) for level, h in enumerate(s.levels)}
+    operators = _curvature_operators(s)
     parts = []
     for degree in range(2, s.order + 3):
-        end = evaluate(
-            q_poly(degree), operators,
-            unit=PolyEnd.identity(space),
-            scale=lambda c, x: x.scaled(c),
-        )
-        part = end_to_pair(end.scaled(Fraction(1, factorial(degree))))
-        parts.append(part)
+        end = evaluate(q_poly(degree), operators, unit=PolyEnd.identity(space))
+        parts.append(end_to_pair(end.scaled(Fraction(1, factorial(degree))), degree))
     return make_normal_metric(space, parts)
 
 
-def transport_polynomial(s: SymJet, trunc: int) -> PowerSeriesTensor:
+def transport_polynomial(s: SymJet, trunc: int) -> PolyEnd:
     """Backwards parallel transport built from the universal polynomials.
 
     Sums the degree-m transport coefficients evaluated on the curvature
     operators of s, divided by m!.  Needs trunc <= order + 2.
     """
     space = s.space
-    n = space.n
     if trunc > s.order + 2:
         raise ValueError("not enough jet levels for the requested truncation")
-    operators = {level + 2: pair_to_end(h) for level, h in enumerate(s.levels)}
-    comps = defaultdict(lambda: Poly.zero(n))
+    operators = _curvature_operators(s)
+    total = PolyEnd.zero(space)
     for m in range(trunc + 1):
-        end = evaluate(
-            qtilde_poly(m), operators,
-            unit=PolyEnd.identity(space),
-            scale=lambda c, x: x.scaled(c),
-        )
-        for (i, j), p in end.scaled(Fraction(1, factorial(m))).entries.items():
-            comps[(i, j)] = comps[(i, j)] + p
-    return PowerSeriesTensor(space, trunc, (n, n), dict(comps))
+        end = evaluate(qtilde_poly(m), operators, unit=PolyEnd.identity(space))
+        total = total + end.scaled(Fraction(1, factorial(m)))
+    return total
 
 
-def parallel_transport_series(g: PolyMetric, trunc: int) -> PowerSeriesTensor:
+def parallel_transport_series(g: PolyMetric, trunc: int) -> PolyEnd:
     """Backwards parallel transport along radial geodesics, as a series.
 
     Returns N(x) with N(0) = Id solving the transport equation pulled
     back to the ray t -> t x; the degree-m part is built from the
-    recursion m N_m = -sum_{e+d=m-1} N_e C_d where C_d is the radial
-    contraction of the degree-d Christoffel part.
+    recursion m N_m = sum_{e<m} N_e A_{m-e}, where A_d is the degree-d
+    part of the radial contraction A = x^j Gamma_j.
     """
     space = g.space
     n = space.n
-    gamma = _christoffel_dict(g, max(trunc - 1, 0))
-
-    # C_d[i][q] = -(degree-d part of Gamma^i_{jq}) contracted with x^j
-    c_parts = defaultdict(lambda: defaultdict(lambda: Poly.zero(n)))
-    for (i, j, q), p in gamma.items():
-        for mono, coeff in p.coeffs.items():
-            d = sum(mono)
-            bumped = list(mono)
-            bumped[j] += 1
-            c_parts[d][(i, q)] = c_parts[d][(i, q)] + Poly(n, {tuple(bumped): -coeff})
-
-    levels = [{(i, i): Poly.const(n, 1) for i in range(n)}]
+    gamma = christoffel_series(g, max(trunc - 1, 0))
+    radial = PolyEnd.zero(space)
+    for j in range(n):
+        radial = radial + gamma[j].scaled(Poly.variable(n, j))
+    radial_parts = [radial.homogeneous_part(d) for d in range(trunc + 1)]
+    levels = [PolyEnd.identity(space)]
     for m in range(1, trunc + 1):
-        acc = {}
-        for d, cmat in c_parts.items():
-            e = m - 1 - d
-            if e < 0 or e >= len(levels):
-                continue
-            prod = _matrix_mul(levels[e], {key: p for key, p in cmat.items()}, n, m + 1)
-            for key, p in prod.items():
-                cur = acc.get(key)
-                acc[key] = p if cur is None else cur + p
-        level = {key: p.scaled(Fraction(-1, m)) for key, p in acc.items() if not p.is_zero()}
-        levels.append(level)
-
-    comps = {}
-    for level in levels:
-        for key, p in level.items():
-            cur = comps.get(key)
-            comps[key] = p if cur is None else cur + p
-    return PowerSeriesTensor(space, trunc, (n, n), comps)
-
-
-def metric_form_series(g: PolyMetric, trunc: int):
-    """Matrix H with H(x) = g_x as a series dict, for factorization checks."""
-    gser = _metric_series(g)
-    return {key: p.truncated(trunc) for key, p in gser.items()
-            if not p.truncated(trunc).is_zero()}
+        acc = PolyEnd.zero(space)
+        for e in range(m):
+            acc = acc + levels[e].mul(radial_parts[m - e])
+        levels.append(acc.scaled(Fraction(1, m)))
+    return sum(levels[1:], levels[0])
 
 
 # ---------------------------------------------------------------------------

@@ -355,35 +355,32 @@ def kulkarni(h: SymPairTensor):
 
 
 class PolyEnd:
-    """Endomorphism of V with homogeneous polynomial entries.
+    """n x n matrix of polynomials: an endomorphism-valued series.
 
     Entry (i, j) is the coefficient polynomial of e_i in the image of
-    e_j.  Degrees add under composition, so these form the graded
-    algebra into which the free generators are substituted.
+    e_j, so the product is composition.  Entries may mix degrees; a
+    truncated series is one whose entries are cut at a total degree,
+    and ``mul`` keeps products within such a cut.
     """
 
-    __slots__ = ("space", "degree", "entries")
+    __slots__ = ("space", "entries")
 
-    def __init__(self, space, degree, entries=None):
+    def __init__(self, space, entries=None):
         self.space = space
-        self.degree = degree
-        self.entries = {}
-        if entries:
-            for (i, j), p in entries.items():
-                if p.is_zero():
-                    continue
-                if any(sum(m) != degree for m in p.coeffs):
-                    raise ValueError("entry polynomial is not homogeneous of the stated degree")
-                self.entries[(i, j)] = p
+        self.entries = {key: p for key, p in (entries or {}).items() if not p.is_zero()}
 
     @classmethod
-    def zero(cls, space, degree):
-        return cls(space, degree)
+    def zero(cls, space):
+        return cls(space)
+
+    @classmethod
+    def diagonal(cls, space, values):
+        n = space.n
+        return cls(space, {(i, i): Poly.const(n, v) for i, v in enumerate(values)})
 
     @classmethod
     def identity(cls, space):
-        n = space.n
-        return cls(space, 0, {(i, i): Poly.const(n, 1) for i in range(n)})
+        return cls.diagonal(space, (1,) * space.n)
 
     def entry(self, i, j) -> Poly:
         return self.entries.get((i, j), Poly.zero(self.space.n))
@@ -393,11 +390,18 @@ class PolyEnd:
 
     def __eq__(self, other):
         return (isinstance(other, PolyEnd) and self.space == other.space
-                and self.degree == other.degree and self.entries == other.entries)
+                and self.entries == other.entries)
+
+    def _map(self, fn):
+        """Apply fn to every entry, dropping entries that become zero."""
+        res = PolyEnd(self.space)
+        for key, p in self.entries.items():
+            q = fn(p)
+            if not q.is_zero():
+                res.entries[key] = q
+        return res
 
     def __add__(self, other):
-        if other.degree != self.degree and not (self.is_zero() or other.is_zero()):
-            raise ValueError("cannot add homogeneous parts of different degrees")
         out = dict(self.entries)
         for key, p in other.entries.items():
             s = out.get(key)
@@ -406,8 +410,7 @@ class PolyEnd:
                 out.pop(key, None)
             else:
                 out[key] = s
-        degree = other.degree if self.is_zero() else self.degree
-        res = PolyEnd(self.space, degree)
+        res = PolyEnd(self.space)
         res.entries = out
         return res
 
@@ -415,28 +418,32 @@ class PolyEnd:
         return self + other.scaled(-1)
 
     def scaled(self, factor):
-        if not factor:
-            return PolyEnd(self.space, self.degree)
-        res = PolyEnd(self.space, self.degree)
-        res.entries = {key: p.scaled(factor) for key, p in self.entries.items()}
-        return res
+        """Entrywise product with a number or a Poly."""
+        return self._map(lambda p: p * factor)
+
+    def truncated(self, max_deg):
+        return self._map(lambda p: p.truncated(max_deg))
+
+    def homogeneous_part(self, deg):
+        return self._map(lambda p: p.homogeneous_part(deg))
+
+    def diff(self, i):
+        return self._map(lambda p: p.diff(i))
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
             return self.scaled(factor)
         return NotImplemented
 
-    def __mul__(self, other):
-        """Composition: (self * other)(v) = self(other(v))."""
-        if not isinstance(other, PolyEnd):
-            return self.scaled(other)
-        n = self.space.n
+    def mul(self, other, trunc=None):
+        """Composition self(other(v)), dropping degrees above ``trunc``."""
+        rows = defaultdict(list)
+        for (m, j), q in other.entries.items():
+            rows[m].append((j, q))
         out = {}
         for (i, m), p in self.entries.items():
-            for (m2, j), q in other.entries.items():
-                if m != m2:
-                    continue
-                prod = p * q
+            for j, q in rows.get(m, ()):
+                prod = p.mul(q, trunc)
                 key = (i, j)
                 s = out.get(key)
                 s = prod if s is None else s + prod
@@ -444,21 +451,29 @@ class PolyEnd:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        res = PolyEnd(self.space, self.degree + other.degree)
+        res = PolyEnd(self.space)
         res.entries = out
         return res
 
-    def eval_matrix(self, xi):
-        """Evaluate entries at the point xi; rows indexed by i."""
-        n = self.space.n
-        return [[self.entry(i, j).eval(xi) for j in range(n)] for i in range(n)]
+    def __mul__(self, other):
+        if not isinstance(other, PolyEnd):
+            return self.scaled(other)
+        return self.mul(other)
 
     def __repr__(self):
-        return f"PolyEnd(n={self.space.n}, degree={self.degree}, nnz={len(self.entries)})"
+        return f"PolyEnd(n={self.space.n}, nnz={len(self.entries)})"
 
 
-def poly_end_compose(a: PolyEnd, b: PolyEnd) -> PolyEnd:
-    return a * b
+def pair_matrix(h: SymPairTensor) -> PolyEnd:
+    """The symmetric matrix of polynomials v -> h(v,..,v; e_a, e_b)."""
+    n = h.space.n
+    coeffs = defaultdict(dict)
+    for (sym, (p, q)), value in h.comps.items():
+        mono = content_of(sym, n)
+        weight = multiset_count(sym) * value
+        coeffs[(p, q)][mono] = weight
+        coeffs[(q, p)][mono] = weight
+    return PolyEnd(h.space, {key: Poly(n, c) for key, c in coeffs.items()})
 
 
 def pair_to_end(h: SymPairTensor) -> PolyEnd:
@@ -466,24 +481,12 @@ def pair_to_end(h: SymPairTensor) -> PolyEnd:
 
     Entry (a, b) is eps_a times the polynomial v -> h(v,..,v; e_a, e_b).
     """
-    space = h.space
-    n = space.n
-    entries = defaultdict(lambda: Poly.zero(n))
-    for (sym, pair), value in h.comps.items():
-        mono = content_of(sym, n)
-        weight = multiset_count(sym) * value
-        p, q = pair
-        slots = [(p, q), (q, p)] if p != q else [(p, q)]
-        for a, b in slots:
-            entries[(a, b)] = entries[(a, b)] + Poly(n, {mono: space.eps(a) * weight})
-    return PolyEnd(space, h.k, dict(entries))
+    return PolyEnd.diagonal(h.space, h.space.signature).mul(pair_matrix(h))
 
 
-def end_to_pair(e: PolyEnd) -> SymPairTensor:
-    """Inverse of pair_to_end for self-adjoint endomorphisms."""
+def end_to_pair(e: PolyEnd, k: int) -> SymPairTensor:
+    """Inverse of pair_to_end for self-adjoint endomorphisms of degree k."""
     space = e.space
-    n = space.n
-    k = e.degree
     comps = defaultdict(lambda: Fraction(0))
     for (a, b), p in e.entries.items():
         for mono, c in p.coeffs.items():

@@ -211,9 +211,9 @@ def suite_transport(n: int, max_k: int, seed: int = 0, trials: int = 3):
             for j in range(n):
                 acc = Poly.zero(n)
                 for m in range(n):
-                    acc = acc + phi.component((m, i)).mul(
-                        phi.component((m, j)), order).scaled(space.eps(m))
-                want = gser.get((i, j), Poly.zero(n)).truncated(order)
+                    acc = acc + phi.entry(m, i).mul(
+                        phi.entry(m, j), order).scaled(space.eps(m))
+                want = gser.entry(i, j).truncated(order)
                 if acc.truncated(order) != want:
                     ok_fac = False
     out.append(_result(f"transport.universal-polynomials-n{n}-order{order}", ok_sub))

@@ -12,8 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from jetiso.cli import main
 from jetiso.jets import symmetrize_jet
-from jetiso.metriclab import curvature_jet_at_origin, random_normal_metric
-from jetiso.tensor import Space
+from jetiso.metriclab import (
+    PolyMetric,
+    curvature_jet_at_origin,
+    metric_from_symjet,
+    random_normal_metric,
+)
+from jetiso.tensor import Space, SymPairTensor
 
 
 def run(capsys, *argv):
@@ -112,6 +117,20 @@ class TestExamplePipeline:
         code, out, _ = run(capsys, "roundtrip", str(example_dir / "metric.json"))
         assert code == 0
         assert out == "roundtrip exact through degree 4\n"
+
+    def test_roundtrip_reports_first_difference(self, example_dir, capsys, monkeypatch):
+        def perturbed(s):
+            g = metric_from_symjet(s)
+            parts = dict(g.parts)
+            parts[3] = parts[3] + SymPairTensor(g.space, 3, {((0, 0, 1), (2, 2)): 1,
+                                                             ((1, 1, 2), (0, 1)): 2})
+            return PolyMetric(g.space, parts)
+
+        monkeypatch.setattr("jetiso.cli.metric_from_symjet", perturbed)
+        code, out, _ = run(capsys, "roundtrip", str(example_dir / "metric.json"))
+        assert code == 1
+        assert out == ("roundtrip FAILED through degree 4: first difference at degree 3, "
+                       "2 components differ\n")
 
     def test_extend_adds_level(self, example_dir, capsys):
         code, out, _ = run(capsys, "extend", str(example_dir / "jet.json"))

@@ -6,12 +6,15 @@ and the classical closed-form expansion of the constant-curvature
 metric, whose tangential profile is sin^2(sqrt(k) r)/(k r^2).
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from jetiso.exactla import format_rational
 from jetiso.jets import jet_from_symjet, symmetrize_jet, validate_jet
 from jetiso.metriclab import (
     GaugeError,
@@ -78,7 +81,7 @@ class TestNormalGauge:
                 acc = Poly.zero(n)
                 for j in range(n):
                     for k in range(n):
-                        p = gamma.component((i, j, k))
+                        p = gamma[j].entry(i, k)
                         xj = Poly.variable(n, j)
                         xk = Poly.variable(n, k)
                         acc = acc + (xj * xk * p).truncated(6)
@@ -90,7 +93,7 @@ class TestNormalGauge:
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert gamma.component((i, j, k)) == gamma.component((i, k, j))
+                    assert gamma[j].entry(i, k) == gamma[k].entry(i, j)
 
 
 class TestSeries:
@@ -105,18 +108,10 @@ class TestSeries:
                 for j in range(n):
                     acc = Poly.zero(n)
                     for m in range(n):
-                        lhs = gser.get((i, m), Poly.zero(n))
-                        acc = acc + lhs.mul(ginv.component((m, j)), trunc)
+                        lhs = gser.entry(i, m)
+                        acc = acc + lhs.mul(ginv.entry(m, j), trunc)
                     want = Poly.const(n, 1) if i == j else Poly.zero(n)
                     assert acc.truncated(trunc) == want
-
-    def test_series_json_shape(self):
-        g = random_normal_metric(E2, 3, random.Random(4))
-        obj = inverse_series(g, 3).to_json_obj()
-        assert obj["shape"] == [2, 2]
-        assert obj["trunc"] == 3
-        for entry in obj["components"]:
-            assert set(entry) == {"idx", "terms"}
 
     def test_flat_metric_trivial_series(self):
         g = make_normal_metric(L3, [])
@@ -124,7 +119,7 @@ class TestSeries:
         for i in range(3):
             for j in range(3):
                 want = Poly.const(3, L3.eps(i)) if i == j else Poly.zero(3)
-                assert ginv.component((i, j)) == want
+                assert ginv.entry(i, j) == want
 
 
 def sympy_jet_levels(g, max_level):
@@ -322,16 +317,16 @@ class TestTransport:
             for j in range(n):
                 acc = Poly.zero(n)
                 for m in range(n):
-                    prod = phi.component((m, i)).mul(phi.component((m, j)), order)
+                    prod = phi.entry(m, i).mul(phi.entry(m, j), order)
                     acc = acc + prod.scaled(space.eps(m))
-                assert acc == gser.get((i, j), Poly.zero(n)).truncated(order)
+                assert acc == gser.entry(i, j).truncated(order)
 
     def test_identity_at_origin(self):
         g = random_normal_metric(E3, 4, random.Random(41))
         phi = parallel_transport_series(g, 4)
         for i in range(3):
             for j in range(3):
-                p = phi.component((i, j))
+                p = phi.entry(i, j)
                 assert p.constant_term() == (1 if i == j else 0)
                 # degree-1 part vanishes because Christoffel starts at degree 1
                 assert p.homogeneous_part(1).is_zero()
@@ -353,3 +348,37 @@ class TestJsonForms:
         obj["parts"] = obj["parts"] + obj["parts"]
         with pytest.raises(ValueError):
             PolyMetric.from_json_obj(obj)
+
+
+class TestPinnedSeries:
+    """Exact outputs of the series layer, pinned by digest.
+
+    The text hashed is sorted (entry, monomial, coefficient) lines, so it
+    depends only on the values, not on how a series is stored.
+    """
+
+    @staticmethod
+    def matrix_lines(name, m, n):
+        return [f"{name} {i},{j} {list(mono)} {format_rational(c)}"
+                for i, j in itertools.product(range(n), repeat=2)
+                for mono, c in m.entry(i, j).sorted_terms()]
+
+    def test_series_digest(self):
+        h = hashlib.sha256()
+        for n in (2, 3):
+            for signature in ((1,) * n, (-1,) + (1,) * (n - 1)):
+                space = Space(n, signature)
+                seed = 10 * n + signature[0]
+                g = random_normal_metric(space, 5, random.Random(90 + seed))
+                s = random_symjet(space, 2, random.Random(190 + seed))
+                lines = (self.matrix_lines("ginv", inverse_series(g, 4), n)
+                         + self.matrix_lines("phi", parallel_transport_series(g, 4), n)
+                         + self.matrix_lines("qt", transport_polynomial(s, 4), n))
+                jet = curvature_jet_at_origin(g, 2)
+                lines += [f"jet {level} {list(idx)} {format_rational(t.get(idx))}"
+                          for level, t in enumerate(jet.levels)
+                          for idx in itertools.product(range(n), repeat=level + 4)
+                          if t.get(idx)]
+                lines.append(json.dumps(metric_from_symjet(s).to_json_obj(), sort_keys=True))
+                h.update("\n".join(lines).encode())
+        assert h.hexdigest() == "a81049d5107d9aae80ac1696097f07694aef768fc114b34b5a2b99c6dedbe949"

@@ -12,6 +12,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetiso.poly import Poly
 from jetiso.tensor import (
     PolyEnd,
     SignedPerm,
@@ -256,18 +257,61 @@ class TestEndomorphismView:
             h = SymPairTensor(space, k)
             for b in gauge_basis(space, k):
                 h = h + b.scaled(F(rng.randint(-3, 3)))
-            assert end_to_pair(pair_to_end(h)) == h
+            assert end_to_pair(pair_to_end(h), k) == h
 
     def test_composition_degree(self):
-        from jetiso.poly import Poly
-
         x0 = Poly.variable(2, 0)
-        a = PolyEnd(E2, 1, {(0, 1): x0})
-        b = PolyEnd(E2, 2, {(1, 0): x0 * x0})
+        a = PolyEnd(E2, {(0, 1): x0})
+        b = PolyEnd(E2, {(1, 0): x0 * x0})
         c = a * b
-        assert c.degree == 3
+        assert c.entry(0, 0).degree() == 3
         assert c.entry(0, 0) == x0 * x0 * x0
         assert c.entry(1, 1).is_zero()
+
+
+def random_poly_end(space, rng, max_deg=3):
+    """Sparse matrix of polynomials mixing degrees 0..max_deg."""
+    n = space.n
+    entries = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        if rng.random() < 0.3:
+            continue
+        coeffs = {}
+        for _ in range(3):
+            mono = [0] * n
+            for _ in range(rng.randint(0, max_deg)):
+                mono[rng.randrange(n)] += 1
+            coeffs[tuple(mono)] = F(rng.randint(-3, 3), rng.randint(1, 2))
+        entries[(i, j)] = Poly(n, coeffs)
+    return PolyEnd(space, entries)
+
+
+class TestPolyEndSeries:
+    def test_truncated_product_is_truncated_composition(self):
+        rng = random.Random(29)
+        for space in (E2, L3):
+            for _ in range(5):
+                a, b = random_poly_end(space, rng), random_poly_end(space, rng)
+                for t in range(6):
+                    assert a.mul(b, t) == (a * b).truncated(t)
+
+    def test_truncated_product_is_associative(self):
+        rng = random.Random(31)
+        for _ in range(5):
+            a, b, c = (random_poly_end(L3, rng) for _ in range(3))
+            for t in (2, 4):
+                assert a.mul(b, t).mul(c, t) == a.mul(b.mul(c, t), t)
+
+    def test_adds_parts_of_different_degrees(self):
+        x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+        a = PolyEnd(E2, {(0, 1): x0})
+        b = PolyEnd(E2, {(0, 1): x1 * x1, (1, 1): Poly.const(2, 5)})
+        total = a + b
+        assert total.entry(0, 1) == x0 + x1 * x1
+        assert total.entry(1, 1) == Poly.const(2, 5)
+        assert total.homogeneous_part(2) == PolyEnd(E2, {(0, 1): x1 * x1})
+        assert total.truncated(1) == a + PolyEnd(E2, {(1, 1): Poly.const(2, 5)})
+        assert (total - a) == b
 
 
 class TestSignedPerms:
