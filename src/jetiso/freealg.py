@@ -37,6 +37,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .exactla import format_rational
+from .poly import Sparse
 
 Word = tuple
 
@@ -55,20 +56,13 @@ def _check_word(word):
     return tuple(word)
 
 
-class FreeElement:
-    """A finite rational combination of words, kept zero-free.
+class FreeElement(Sparse):
+    """A finite rational combination of words, kept zero-free."""
 
-    Instances are treated as immutable; arithmetic returns new objects.
-    """
-
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, c in terms.items():
-                if c:
-                    self.terms[_check_word(word)] = Fraction(c)
+        self.coeffs = {_check_word(word): Fraction(c) for word, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls):
@@ -82,89 +76,45 @@ class FreeElement:
     def generator(cls, letter):
         return cls({(letter,): 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def coeff(self, word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, FreeElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        res = FreeElement()
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = FreeElement()
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        if not factor:
-            return FreeElement()
-        res = FreeElement()
-        res.terms = {w: factor * c for w, c in self.terms.items()}
-        return res
+        return self.coeffs.get(tuple(word), Fraction(0))
 
     def __mul__(self, other):
-        if isinstance(other, FreeElement):
-            out = {}
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    w = wa + wb
-                    s = out.get(w, 0) + ca * cb
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
-            res = FreeElement()
-            res.terms = out
-            return res
-        return self.scaled(other)
-
-    def __rmul__(self, factor):
-        return self.scaled(factor)
+        if not isinstance(other, FreeElement):
+            return self.scaled(other)
+        out = {}
+        for wa, ca in self.coeffs.items():
+            for wb, cb in other.coeffs.items():
+                w = wa + wb
+                s = out.get(w, 0) + ca * cb
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+        return self._with(out)
 
     def star(self):
         """Reverse every word; an anti-automorphism and involution."""
-        res = FreeElement()
-        res.terms = {tuple(reversed(w)): c for w, c in self.terms.items()}
-        return res
+        return self._with({tuple(reversed(w)): c for w, c in self.coeffs.items()})
 
     def is_homogeneous(self):
-        degs = {weighted_degree(w) for w in self.terms}
+        degs = {weighted_degree(w) for w in self.coeffs}
         return len(degs) <= 1
 
     def degree(self):
         """Weighted degree, or -1 for zero."""
-        if not self.terms:
+        if not self.coeffs:
             return -1
-        return max(weighted_degree(w) for w in self.terms)
+        return max(weighted_degree(w) for w in self.coeffs)
 
     def sorted_terms(self):
         # Degree first, then word length, then the letters themselves.
         # Shorter words use bigger letters, so X4 prints before X2*X2.
-        return sorted(self.terms.items(),
+        return sorted(self.coeffs.items(),
                       key=lambda item: (weighted_degree(item[0]), len(item[0]), item[0]))
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts = []
         for word, c in self.sorted_terms():

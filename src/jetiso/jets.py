@@ -156,28 +156,34 @@ class MultiTensor:
 
 @dataclass
 class Violation:
-    """One failed identity, located at the worst offending component."""
+    """One failed identity: its worst component ``at``, the defect's
+    signed ``value`` there and the number of ``nonzero`` defect components."""
 
     level: int
     identity: str
     slots: tuple
     at: tuple
+    value: Fraction
+    nonzero: int
 
     def __str__(self):
         slots = "(" + ",".join(str(s) for s in self.slots) + ")"
         return (f"level={self.level} identity={self.identity} "
-                f"slots={slots} max_violation_at={list(self.at)}")
+                f"slots={slots} max_violation_at={list(self.at)} "
+                f"value={format_rational(self.value)} nonzero={self.nonzero}")
 
 
 def _worst_index(defect: MultiTensor):
+    """Index and signed value of the largest defect component, and how many are nonzero."""
     best = None
-    best_abs = 0
+    best_value = 0
+    count = 0
     for idx, v in defect.nonzero_components():
-        a = abs(v)
-        if a > best_abs:
-            best_abs = a
+        count += 1
+        if abs(v) > abs(best_value):
+            best_value = v
             best = idx
-    return best
+    return best, best_value, count
 
 
 class CurvatureJet:
@@ -328,7 +334,7 @@ def _curvature_block_violations(t: MultiTensor, level: int):
 
     def check(defect, identity, slots):
         if not defect.is_zero():
-            out.append(Violation(level, identity, slots, _worst_index(defect)))
+            out.append(Violation(level, identity, slots, *_worst_index(defect)))
 
     check(t + t.swapped(k, k + 1), "antisymmetry", (k + 1, k + 2))
     check(t + t.swapped(k + 2, k + 3), "antisymmetry", (k + 3, k + 4))
@@ -431,11 +437,11 @@ def validate_jet(jet: "CurvatureJet"):
             defect = _cyclic_sum(t, level - 1)
             if not defect.is_zero():
                 out.append(Violation(level, "bianchi2", (level, level + 1, level + 2),
-                                     _worst_index(defect)))
+                                     *_worst_index(defect)))
         for i in range(1, level):
             defect = ricci_defect(jet, level, i)
             if not defect.is_zero():
-                out.append(Violation(level, "ricci", (i, i + 1), _worst_index(defect)))
+                out.append(Violation(level, "ricci", (i, i + 1), *_worst_index(defect)))
     return out
 
 
@@ -453,11 +459,11 @@ def validate_linear_component(c: LinearJetComponent):
     for i in range(k - 1):
         defect = t - t.swapped(i, i + 1)
         if not defect.is_zero():
-            out.append(Violation(k, "ricci", (i + 1, i + 2), _worst_index(defect)))
+            out.append(Violation(k, "ricci", (i + 1, i + 2), *_worst_index(defect)))
     if k >= 1:
         defect = _cyclic_sum(t, k - 1)
         if not defect.is_zero():
-            out.append(Violation(k, "bianchi2", (k, k + 1, k + 2), _worst_index(defect)))
+            out.append(Violation(k, "bianchi2", (k, k + 1, k + 2), *_worst_index(defect)))
     return out
 
 

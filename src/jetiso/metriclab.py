@@ -187,7 +187,7 @@ def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
         for b in range(a + 1, g.space.n):
             ga, gb = gamma[a], gamma[b]
             two_form = gb.diff(a) - ga.diff(b) + ga.mul(gb, trunc) - gb.mul(ga, trunc)
-            for (d, c), p in metric.mul(two_form, trunc).entries.items():
+            for (d, c), p in metric.mul(two_form, trunc).coeffs.items():
                 out[(a, b, c, d)] = p
                 out[(b, a, c, d)] = -p
     return out
@@ -213,7 +213,7 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
         for s in range(arity):
             ms = idx[s]
             for j in range(n):
-                gamma_j = gamma[j].entries
+                gamma_j = gamma[j].coeffs
                 for c in range(n):
                     gp = gamma_j.get((ms, c))
                     if gp is None:

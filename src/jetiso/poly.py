@@ -5,6 +5,10 @@ are ``int`` or ``fractions.Fraction``.  Zero coefficients are never
 stored, so ``p.is_zero()`` is just an emptiness check.  Products accept
 an optional truncation degree; that is what makes these usable as
 truncated power series everywhere else in the package.
+
+``Sparse`` is the linear-combination base that ``Poly``,
+``freealg.FreeElement``, ``tensor.SymPairTensor`` and ``tensor.PolyEnd``
+share: one zero-free dict and one copy of the vector-space operations.
 """
 
 from __future__ import annotations
@@ -12,16 +16,75 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class Poly:
-    __slots__ = ("n", "coeffs")
+class Sparse:
+    """A finite linear combination: ``coeffs`` maps keys to nonzero values.
+
+    Values are numbers or ``Poly``.  A subclass names its shape (the
+    fields beyond ``coeffs``) in its own ``__slots__``; sums, negatives
+    and scalar multiples keep the shape and never store a zero.
+    Instances are treated as immutable; arithmetic returns new objects.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def _with(self, coeffs):
+        """A new object of this type and shape holding ``coeffs``."""
+        res = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(res, name, getattr(self, name))
+        res.coeffs = coeffs
+        return res
+
+    def _shape(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._shape() == other._shape()
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.coeffs.items())))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, v in other.coeffs.items():
+            s = out.get(key)
+            s = v if s is None else s + v
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return self._with(out)
+
+    def __neg__(self):
+        return self._with({key: -v for key, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, factor):
+        """Every value times ``factor``, a number or (for Poly values) a Poly."""
+        return self._with({key: p for key, v in self.coeffs.items() if (p := v * factor)})
+
+    def __rmul__(self, factor):
+        return self.scaled(factor)
+
+    def sorted_terms(self):
+        return sorted(self.coeffs.items())
+
+
+class Poly(Sparse):
+    __slots__ = ("n",)
 
     def __init__(self, n, coeffs=None):
         self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                if c:
-                    self.coeffs[mono] = c
+        self.coeffs = {mono: c for mono, c in (coeffs or {}).items() if c}
 
     @classmethod
     def zero(cls, n):
@@ -37,9 +100,6 @@ class Poly:
         mono[i] = 1
         return cls(n, {tuple(mono): 1})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def coeff(self, mono):
         return self.coeffs.get(tuple(mono), Fraction(0))
 
@@ -51,39 +111,6 @@ class Poly:
         if not self.coeffs:
             return -1
         return max(sum(m) for m in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = Poly(self.n)
-        res.coeffs = out
-        return res
-
-    def __neg__(self):
-        res = Poly(self.n)
-        res.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, factor):
-        if not factor:
-            return Poly(self.n)
-        res = Poly(self.n)
-        res.coeffs = {m: factor * c for m, c in self.coeffs.items()}
-        return res
 
     def mul(self, other, trunc=None):
         """Product, dropping monomials of total degree above ``trunc``."""
@@ -99,16 +126,11 @@ class Poly:
                     out[mono] = s
                 else:
                     del out[mono]
-        res = Poly(self.n)
-        res.coeffs = out
-        return res
+        return self._with(out)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             return self.mul(other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
         return self.scaled(other)
 
     def diff(self, i):
@@ -119,19 +141,13 @@ class Poly:
                 m = list(mono)
                 m[i] = e - 1
                 out[tuple(m)] = e * c
-        res = Poly(self.n)
-        res.coeffs = out
-        return res
+        return self._with(out)
 
     def truncated(self, max_deg):
-        res = Poly(self.n)
-        res.coeffs = {m: c for m, c in self.coeffs.items() if sum(m) <= max_deg}
-        return res
+        return self._with({m: c for m, c in self.coeffs.items() if sum(m) <= max_deg})
 
     def homogeneous_part(self, deg):
-        res = Poly(self.n)
-        res.coeffs = {m: c for m, c in self.coeffs.items() if sum(m) == deg}
-        return res
+        return self._with({m: c for m, c in self.coeffs.items() if sum(m) == deg})
 
     def eval(self, point):
         total = Fraction(0)
@@ -142,9 +158,6 @@ class Poly:
                     term *= x
             total += term
         return total
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .exactla import RatMatrix, format_rational, nullspace_basis, parse_rational
-from .poly import Poly
+from .poly import Poly, Sparse
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def multiset_from_content(content):
     return tuple(out)
 
 
-class SymPairTensor:
+class SymPairTensor(Sparse):
     """Element of Sym^k V* tensor Sym^2 V*, sparse on multiset keys.
 
     Keys are pairs (sym, pair) of sorted index tuples; the value is the
@@ -96,20 +96,19 @@ class SymPairTensor:
     vectors, so evaluation sums over all arrangements.
     """
 
-    __slots__ = ("space", "k", "comps")
+    __slots__ = ("space", "k")
 
     def __init__(self, space, k, comps=None):
         self.space = space
         self.k = k
-        self.comps = {}
-        if comps:
-            for (sym, pair), value in comps.items():
-                if len(sym) != k or len(pair) != 2:
-                    raise ValueError("component key does not match arity")
-                if value:
-                    key = (tuple(sorted(sym)), tuple(sorted(pair)))
-                    self.comps[key] = self.comps.get(key, 0) + value
-            self.comps = {key: v for key, v in self.comps.items() if v}
+        out = {}
+        for (sym, pair), value in (comps or {}).items():
+            if len(sym) != k or len(pair) != 2:
+                raise ValueError("component key does not match arity")
+            if value:
+                key = (tuple(sorted(sym)), tuple(sorted(pair)))
+                out[key] = out.get(key, 0) + value
+        self.coeffs = {key: v for key, v in out.items() if v}
 
     @classmethod
     def zero(cls, space, k):
@@ -117,44 +116,7 @@ class SymPairTensor:
 
     def get(self, sym, pair):
         key = (tuple(sorted(sym)), tuple(sorted(pair)))
-        return self.comps.get(key, Fraction(0))
-
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return (isinstance(other, SymPairTensor) and self.space == other.space
-                and self.k == other.k and self.comps == other.comps)
-
-    def __add__(self, other):
-        out = dict(self.comps)
-        for key, v in other.comps.items():
-            s = out.get(key, 0) + v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        res = SymPairTensor(self.space, self.k)
-        res.comps = out
-        return res
-
-    def __neg__(self):
-        res = SymPairTensor(self.space, self.k)
-        res.comps = {key: -v for key, v in self.comps.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, factor):
-        if not factor:
-            return SymPairTensor(self.space, self.k)
-        res = SymPairTensor(self.space, self.k)
-        res.comps = {key: factor * v for key, v in self.comps.items()}
-        return res
-
-    def sorted_components(self):
-        return sorted(self.comps.items())
+        return self.coeffs.get(key, Fraction(0))
 
     def to_json_obj(self):
         return {
@@ -163,7 +125,7 @@ class SymPairTensor:
             "k": self.k,
             "components": [
                 {"sym": list(sym), "pair": list(pair), "value": format_rational(v)}
-                for (sym, pair), v in self.sorted_components()
+                for (sym, pair), v in self.sorted_terms()
             ],
         }
 
@@ -181,7 +143,7 @@ class SymPairTensor:
         return cls(space, k, comps)
 
     def __repr__(self):
-        return f"SymPairTensor(n={self.space.n}, k={self.k}, nnz={len(self.comps)})"
+        return f"SymPairTensor(n={self.space.n}, k={self.k}, nnz={len(self.coeffs)})"
 
 
 def eval_pair(h: SymPairTensor, xs, y, z) -> Fraction:
@@ -354,20 +316,21 @@ def kulkarni(h: SymPairTensor):
     return out
 
 
-class PolyEnd:
+class PolyEnd(Sparse):
     """n x n matrix of polynomials: an endomorphism-valued series.
 
     Entry (i, j) is the coefficient polynomial of e_i in the image of
     e_j, so the product is composition.  Entries may mix degrees; a
     truncated series is one whose entries are cut at a total degree,
-    and ``mul`` keeps products within such a cut.
+    and ``mul`` keeps products within such a cut.  ``scaled`` takes a
+    number or a Poly.
     """
 
-    __slots__ = ("space", "entries")
+    __slots__ = ("space",)
 
     def __init__(self, space, entries=None):
         self.space = space
-        self.entries = {key: p for key, p in (entries or {}).items() if not p.is_zero()}
+        self.coeffs = {key: p for key, p in (entries or {}).items() if p}
 
     @classmethod
     def zero(cls, space):
@@ -383,43 +346,11 @@ class PolyEnd:
         return cls.diagonal(space, (1,) * space.n)
 
     def entry(self, i, j) -> Poly:
-        return self.entries.get((i, j), Poly.zero(self.space.n))
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyEnd) and self.space == other.space
-                and self.entries == other.entries)
+        return self.coeffs.get((i, j), Poly.zero(self.space.n))
 
     def _map(self, fn):
         """Apply fn to every entry, dropping entries that become zero."""
-        res = PolyEnd(self.space)
-        for key, p in self.entries.items():
-            q = fn(p)
-            if not q.is_zero():
-                res.entries[key] = q
-        return res
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for key, p in other.entries.items():
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = PolyEnd(self.space)
-        res.entries = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, factor):
-        """Entrywise product with a number or a Poly."""
-        return self._map(lambda p: p * factor)
+        return self._with({key: q for key, p in self.coeffs.items() if (q := fn(p))})
 
     def truncated(self, max_deg):
         return self._map(lambda p: p.truncated(max_deg))
@@ -430,30 +361,23 @@ class PolyEnd:
     def diff(self, i):
         return self._map(lambda p: p.diff(i))
 
-    def __rmul__(self, factor):
-        if isinstance(factor, (int, Fraction)):
-            return self.scaled(factor)
-        return NotImplemented
-
     def mul(self, other, trunc=None):
         """Composition self(other(v)), dropping degrees above ``trunc``."""
         rows = defaultdict(list)
-        for (m, j), q in other.entries.items():
+        for (m, j), q in other.coeffs.items():
             rows[m].append((j, q))
         out = {}
-        for (i, m), p in self.entries.items():
+        for (i, m), p in self.coeffs.items():
             for j, q in rows.get(m, ()):
                 prod = p.mul(q, trunc)
                 key = (i, j)
                 s = out.get(key)
                 s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
+                if s:
                     out[key] = s
-        res = PolyEnd(self.space)
-        res.entries = out
-        return res
+                else:
+                    out.pop(key, None)
+        return self._with(out)
 
     def __mul__(self, other):
         if not isinstance(other, PolyEnd):
@@ -461,14 +385,14 @@ class PolyEnd:
         return self.mul(other)
 
     def __repr__(self):
-        return f"PolyEnd(n={self.space.n}, nnz={len(self.entries)})"
+        return f"PolyEnd(n={self.space.n}, nnz={len(self.coeffs)})"
 
 
 def pair_matrix(h: SymPairTensor) -> PolyEnd:
     """The symmetric matrix of polynomials v -> h(v,..,v; e_a, e_b)."""
     n = h.space.n
     coeffs = defaultdict(dict)
-    for (sym, (p, q)), value in h.comps.items():
+    for (sym, (p, q)), value in h.coeffs.items():
         mono = content_of(sym, n)
         weight = multiset_count(sym) * value
         coeffs[(p, q)][mono] = weight
@@ -488,7 +412,7 @@ def end_to_pair(e: PolyEnd, k: int) -> SymPairTensor:
     """Inverse of pair_to_end for self-adjoint endomorphisms of degree k."""
     space = e.space
     comps = defaultdict(lambda: Fraction(0))
-    for (a, b), p in e.entries.items():
+    for (a, b), p in e.coeffs.items():
         for mono, c in p.coeffs.items():
             sym = multiset_from_content(mono)
             # undo the arrangement count and the eps factor, then
@@ -536,7 +460,7 @@ def transform_pair_tensor(h: SymPairTensor, g: SignedPerm) -> SymPairTensor:
     under g, weighted by the signs of the original indices.
     """
     comps = {}
-    for (sym, pair), value in h.comps.items():
+    for (sym, pair), value in h.coeffs.items():
         sign = 1
         new_sym = []
         for i in sym:

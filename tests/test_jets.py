@@ -104,8 +104,11 @@ class TestValidation:
             assert validate_jet(jet) == []
 
     def test_violation_format(self):
-        v = Violation(2, "ricci", (1, 2), (0, 1, 0, 2, 1, 0))
-        assert str(v) == "level=2 identity=ricci slots=(1,2) max_violation_at=[0, 1, 0, 2, 1, 0]"
+        v = Violation(2, "ricci", (1, 2), (0, 1, 0, 2, 1, 0), Fraction(-3, 4), 5)
+        assert str(v) == ("level=2 identity=ricci slots=(1,2) max_violation_at=[0, 1, 0, 2, 1, 0] "
+                          "value=-3/4 nonzero=5")
+        v = Violation(0, "bianchi1", (1, 2, 3), (0, 1, 0, 1), 2, 1)
+        assert str(v).endswith(" max_violation_at=[0, 1, 0, 1] value=2 nonzero=1")
 
     def test_broken_antisymmetry_reported(self):
         jet = oracle_jet(E2, 1, seed=3)
@@ -117,10 +120,13 @@ class TestValidation:
         assert "antisymmetry" in names
         pattern = re.compile(
             r"^level=\d+ identity=[a-z_0-9]+ slots=\(\d+(,\d+)*\) "
-            r"max_violation_at=\[\d+(, \d+)*\]$"
+            r"max_violation_at=\[\d+(, \d+)*\] value=-?[1-9]\d*(/[1-9]\d*)? nonzero=[1-9]\d*$"
         )
         for v in found:
             assert pattern.match(str(v)), str(v)
+        (anti,) = [v for v in found if v.identity == "antisymmetry" and v.slots == (1, 2)]
+        assert anti.at == (0, 0, 0, 1)
+        assert anti.value == 2 and anti.nonzero == 1
 
     def test_broken_second_bianchi_reported(self):
         # e_2 tensor W is curvature-shaped slotwise but fails the cyclic

@@ -140,7 +140,7 @@ def sympy_jet_levels(g, max_level):
     for i in range(n):
         big[i, i] = sp.Integer(space.eps(i))
     for degree, h in g.parts.items():
-        for (sym, pair), value in h.comps.items():
+        for (sym, pair), value in h.coeffs.items():
             expr = sp.Integer(multiset_count(sym)) * sp.Rational(
                 value.numerator, value.denominator
             )
