@@ -2,7 +2,7 @@
 Young-symmetrizer action, and jet extension.
 
 A curvature jet of order k over a pseudo-Euclidean space is a list of
-dense tensors T_0, ..., T_k, where T_l has l derivative slots followed
+tensors T_0, ..., T_k, where T_l has l derivative slots followed
 by four curvature slots.  T_l plays the role of the l-th covariant
 derivative of the curvature tensor at a point, so validity means:
 
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .exactla import RatMatrix, format_rational, nullspace_basis, parse_rational, solve_affine
+from .exactla import RatMatrix, format_rational, nullspace_basis, solve_affine
 from .tensor import (
+    MultiTensor,
     SignedPerm,
     Space,
     SymPairTensor,
@@ -42,116 +43,6 @@ from .tensor import (
     sym_indices,
     transform_pair_tensor,
 )
-
-
-class MultiTensor:
-    """Dense m-linear form over the space, components in a flat list."""
-
-    __slots__ = ("space", "arity", "data")
-
-    def __init__(self, space, arity, data=None):
-        self.space = space
-        self.arity = arity
-        size = space.n ** arity
-        if data is None:
-            self.data = [0] * size
-        else:
-            if len(data) != size:
-                raise ValueError("component list has the wrong length")
-            self.data = list(data)
-
-    @classmethod
-    def zero(cls, space, arity):
-        return cls(space, arity)
-
-    def _offset(self, idx):
-        off = 0
-        n = self.space.n
-        for i in idx:
-            off = off * n + i
-        return off
-
-    def get(self, idx):
-        return self.data[self._offset(idx)]
-
-    def set(self, idx, value):
-        self.data[self._offset(idx)] = value
-
-    def is_zero(self):
-        return not any(self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiTensor) and self.space == other.space
-                and self.arity == other.arity
-                and all(a == b for a, b in zip(self.data, other.data)))
-
-    def __add__(self, other):
-        res = MultiTensor(self.space, self.arity)
-        res.data = [a + b for a, b in zip(self.data, other.data)]
-        return res
-
-    def __neg__(self):
-        res = MultiTensor(self.space, self.arity)
-        res.data = [-a for a in self.data]
-        return res
-
-    def __sub__(self, other):
-        res = MultiTensor(self.space, self.arity)
-        res.data = [a - b for a, b in zip(self.data, other.data)]
-        return res
-
-    def scaled(self, factor):
-        res = MultiTensor(self.space, self.arity)
-        res.data = [factor * a if a else 0 for a in self.data]
-        return res
-
-    def iter_indices(self):
-        return itertools.product(range(self.space.n), repeat=self.arity)
-
-    def permuted(self, sigma):
-        """Slot permutation: out[idx] = self[idx composed with sigma]."""
-        res = MultiTensor(self.space, self.arity)
-        for idx in self.iter_indices():
-            v = self.data[self._offset(tuple(idx[s] for s in sigma))]
-            if v:
-                res.data[self._offset(idx)] = v
-        return res
-
-    def swapped(self, s1, s2):
-        sigma = list(range(self.arity))
-        sigma[s1], sigma[s2] = sigma[s2], sigma[s1]
-        return self.permuted(sigma)
-
-    def nonzero_components(self):
-        for idx in self.iter_indices():
-            v = self.data[self._offset(idx)]
-            if v:
-                yield idx, v
-
-    def to_json_obj(self):
-        return {
-            "n": self.space.n,
-            "signature": list(self.space.signature),
-            "arity": self.arity,
-            "components": [
-                {"idx": list(idx), "value": format_rational(v)}
-                for idx, v in self.nonzero_components()
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        space = Space(obj["n"], tuple(obj["signature"]))
-        res = cls(space, obj["arity"])
-        for entry in obj["components"]:
-            idx = tuple(entry["idx"])
-            if len(idx) != obj["arity"] or any(not 0 <= i < space.n for i in idx):
-                raise ValueError(f"bad component index {idx}")
-            res.data[res._offset(idx)] += parse_rational(entry["value"])
-        return res
-
-    def __repr__(self):
-        return f"MultiTensor(n={self.space.n}, arity={self.arity})"
 
 
 @dataclass
@@ -174,16 +65,10 @@ class Violation:
 
 
 def _worst_index(defect: MultiTensor):
-    """Index and signed value of the largest defect component, and how many are nonzero."""
-    best = None
-    best_value = 0
-    count = 0
-    for idx, v in defect.nonzero_components():
-        count += 1
-        if abs(v) > abs(best_value):
-            best_value = v
-            best = idx
-    return best, best_value, count
+    """Index and signed value of the largest defect component (the first in
+    lexicographic order among equals), and how many are nonzero."""
+    at, value = min(defect.coeffs.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+    return at, value, len(defect.coeffs)
 
 
 class CurvatureJet:
@@ -352,27 +237,27 @@ def validate_curvature(t: MultiTensor):
     return _curvature_block_violations(t, 0)
 
 
-def derivation_apply(form: MultiTensor, target: MultiTensor) -> MultiTensor:
-    """Action of the operator of a bilinear form on all slots of a tensor.
+def derivation_apply(form: MultiTensor, target: MultiTensor, frozen: int = 0) -> MultiTensor:
+    """Action of the operator of a bilinear form on the slots of a tensor.
 
     ``form`` is a bilinear form A(z, w); the associated endomorphism is
     (A z)_m = eps_m A(z, e_m).  Acting as a derivation on an m-linear
-    tensor U gives (A.U)(u_1, ..., u_m) = -sum_s U(..., A u_s, ...).
+    tensor U gives (A.U)(u_1, ..., u_m) = -sum_s U(..., A u_s, ...), the
+    sum running over every slot s after the first ``frozen``.
     """
-    space = target.space
-    n = space.n
-    out = MultiTensor.zero(space, target.arity)
-    for idx, v in target.nonzero_components():
-        for s in range(target.arity):
-            js = idx[s]
-            for m in range(n):
-                a = form.get((m, js))
-                if a:
-                    # scatter: U's component idx contributes to the output
-                    # at idx with slot s moved to m, weighted by (A e_js)_m
-                    new = idx[:s] + (m,) + idx[s + 1:]
-                    out.data[out._offset(new)] -= space.eps(js) * a * v
-    return out
+    eps = target.space.eps
+    # scatter: U's component idx contributes to the output at idx with
+    # slot s moved to m, weighted by (A e_js)_m, js = idx[s]
+    column = defaultdict(list)
+    for (m, js), a in form.coeffs.items():
+        column[js].append((m, eps(js) * a))
+    out = {}
+    for idx, v in target.coeffs.items():
+        for s in range(frozen, target.arity):
+            for m, a in column.get(idx[s], ()):
+                new = idx[:s] + (m,) + idx[s + 1:]
+                out[new] = out.get(new, 0) - a * v
+    return target._with({idx: v for idx, v in out.items() if v})
 
 
 def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
@@ -387,45 +272,39 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
           acting as a derivation on the level (|J| + q) tensor holding
           the remaining slots, q = level - i - 1.
 
+    For each size r = |I| the operators are the bilinear forms of level
+    r grouped by head (v_I, x_i, x_{i+1}); each acts once on level
+    p - r + q with the p - r slots of v_J frozen, p = i - 1, and the
+    result is placed at every choice of the r prefix slots holding v_I.
+
     Vanishes identically on jets of metrics.
     """
     if not 1 <= i <= level - 1:
         raise ValueError("need 1 <= i <= level-1")
-    space = jet.space
-    n = space.n
     t = jet.levels[level]
-    lhs = t - t.swapped(i - 1, i)
-
     p = i - 1
     q = level - i - 1
-    rhs = MultiTensor.zero(space, level + 4)
-    prefix_positions = list(range(p))
-    for idx in itertools.product(range(n), repeat=level + 4):
-        prefix = idx[:p]
-        xi, xj = idx[p], idx[p + 1]
-        tail = idx[p + 2:]
-        total = 0
-        for r in range(p + 1):
-            for subset in itertools.combinations(prefix_positions, r):
-                in_subset = set(subset)
-                v_i = tuple(prefix[s] for s in subset)
-                v_j = tuple(prefix[s] for s in prefix_positions if s not in in_subset)
-                a_level = jet.levels[r]
-                u_level = jet.levels[len(v_j) + q]
-                # derivation action on the q + 4 free slots of u_level,
-                # with the v_j block frozen
-                base = v_j + tail
-                for s in range(q + 4):
-                    pos = len(v_j) + s
-                    js = base[pos]
-                    for m in range(n):
-                        a = a_level.get(v_i + (xi, xj, js, m))
-                        if a:
-                            new = base[:pos] + (m,) + base[pos + 1:]
-                            total -= space.eps(m) * a * u_level.get(new)
-        if total:
-            rhs.set(idx, total)
-    return lhs - rhs
+    rhs = {}
+    for r in range(p + 1):
+        forms = defaultdict(dict)
+        for idx, v in jet.levels[r].coeffs.items():
+            forms[idx[:r + 2]][idx[r + 2:]] = v
+        target = jet.levels[p - r + q]
+        # for each placement of v_I, the position in v_I + v_J of each prefix slot
+        placements = []
+        for subset in itertools.combinations(range(p), r):
+            order = list(subset) + [s for s in range(p) if s not in subset]
+            placements.append(sorted(range(p), key=order.__getitem__))
+        for head, comps in forms.items():
+            v_i, pair = head[:r], head[r:]
+            acted = derivation_apply(MultiTensor(jet.space, 2, comps), target, p - r)
+            for idx, v in acted.coeffs.items():
+                parts = v_i + idx[:p - r]
+                rest = pair + idx[p - r:]
+                for gather in placements:
+                    key = tuple(parts[c] for c in gather) + rest
+                    rhs[key] = rhs.get(key, 0) + v
+    return t - t.swapped(i - 1, i) - t._with({idx: v for idx, v in rhs.items() if v})
 
 
 def validate_jet(jet: "CurvatureJet"):
@@ -704,13 +583,13 @@ def component_span_solve(t: MultiTensor, basis):
 
     basis_by_content = defaultdict(list)
     for bi, b in enumerate(basis):
-        contents = {content_of(idx, n) for idx, _ in b.tensor.nonzero_components()}
+        contents = {content_of(idx, n) for idx in b.tensor.coeffs}
         if len(contents) != 1:
             raise ValueError("basis element is not content-homogeneous")
         basis_by_content[contents.pop()].append(bi)
 
     target_by_content = defaultdict(list)
-    for idx, v in t.nonzero_components():
+    for idx in t.coeffs:
         target_by_content[content_of(idx, n)].append(idx)
 
     coords = [Fraction(0)] * len(basis)
@@ -721,7 +600,7 @@ def component_span_solve(t: MultiTensor, basis):
             return None
         support = set(target_by_content.get(cont, ()))
         for bi in members:
-            support.update(idx for idx, _ in basis[bi].tensor.nonzero_components())
+            support.update(basis[bi].tensor.coeffs)
         support = sorted(support)
         rows = [[Fraction(basis[bi].tensor.get(idx)) for bi in members] for idx in support]
         rhs = [Fraction(t.get(idx)) for idx in support]
@@ -804,15 +683,13 @@ def transform_multi_tensor(t: MultiTensor, g: SignedPerm) -> MultiTensor:
     Equivalently, the component of t at idx lands at g(idx) carrying
     the product of the signs of idx.
     """
-    out = MultiTensor.zero(t.space, t.arity)
-    for idx, v in t.nonzero_components():
+    out = {}
+    for idx, v in t.coeffs.items():
         sign = 1
-        new = []
         for i in idx:
-            new.append(g.perm[i])
             sign *= g.signs[i]
-        out.set(tuple(new), sign * v)
-    return out
+        out[tuple(g.perm[i] for i in idx)] = sign * v
+    return t._with(out)
 
 
 def transform_jet(jet: CurvatureJet, g: SignedPerm) -> CurvatureJet:

@@ -23,9 +23,10 @@ from fractions import Fraction
 from math import factorial
 
 from .freealg import evaluate, q_poly, qtilde_poly
-from .jets import CurvatureJet, MultiTensor, SymJet
+from .jets import CurvatureJet, SymJet
 from .poly import Poly
 from .tensor import (
+    MultiTensor,
     PolyEnd,
     Space,
     SymPairTensor,

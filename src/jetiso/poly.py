@@ -7,8 +7,9 @@ an optional truncation degree; that is what makes these usable as
 truncated power series everywhere else in the package.
 
 ``Sparse`` is the linear-combination base that ``Poly``,
-``freealg.FreeElement``, ``tensor.SymPairTensor`` and ``tensor.PolyEnd``
-share: one zero-free dict and one copy of the vector-space operations.
+``freealg.FreeElement``, ``tensor.SymPairTensor``, ``tensor.PolyEnd`` and
+``tensor.MultiTensor`` share: one zero-free dict and one copy of the
+vector-space operations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ class Sparse:
     Values are numbers or ``Poly``.  A subclass names its shape (the
     fields beyond ``coeffs``) in its own ``__slots__``; sums, negatives
     and scalar multiples keep the shape and never store a zero.
-    Instances are treated as immutable; arithmetic returns new objects.
+    Arithmetic returns new objects; only ``MultiTensor.set`` writes in
+    place.
     """
 
     __slots__ = ("coeffs",)

@@ -6,8 +6,8 @@ containers cover everything the package needs:
 * ``SymPairTensor``: an element of Sym^k V* tensor Sym^2 V*, stored
   sparsely on multiset keys.  These hold Taylor coefficients of metrics
   and symmetrized curvature data.
-* ``MultiTensor``: a dense m-linear form, used for curvature tensors
-  and their derivative jets.
+* ``MultiTensor``: an m-linear form, stored sparsely on full index
+  tuples, used for curvature tensors and their derivative jets.
 
 The gauge space of degree k is the subspace of Sym^k tensor Sym^2
 consisting of tensors h with h(v,...,v; v, .) = 0; these are exactly
@@ -288,6 +288,76 @@ dim_N = gauge_dim
 dim_C_lower = curvature_jet_dim_bound
 
 
+class MultiTensor(Sparse):
+    """m-linear form over the space, sparse on full index tuples.
+
+    ``get`` reads a missing component as 0 and ``set`` of a zero
+    deletes it, so ``coeffs`` stays zero-free.
+    """
+
+    __slots__ = ("space", "arity")
+
+    def __init__(self, space, arity, comps=None):
+        self.space = space
+        self.arity = arity
+        self.coeffs = {idx: v for idx, v in (comps or {}).items() if v}
+
+    @classmethod
+    def zero(cls, space, arity):
+        return cls(space, arity)
+
+    def get(self, idx):
+        return self.coeffs.get(idx, 0)
+
+    def set(self, idx, value):
+        if value:
+            self.coeffs[idx] = value
+        else:
+            self.coeffs.pop(idx, None)
+
+    def iter_indices(self):
+        """Every index tuple, zeros included, in lexicographic order."""
+        return itertools.product(range(self.space.n), repeat=self.arity)
+
+    def permuted(self, sigma):
+        """Slot permutation: out[idx] = self[idx composed with sigma]."""
+        inverse = [0] * self.arity
+        for s, target in enumerate(sigma):
+            inverse[target] = s
+        return self._with({tuple(idx[s] for s in inverse): v for idx, v in self.coeffs.items()})
+
+    def swapped(self, s1, s2):
+        sigma = list(range(self.arity))
+        sigma[s1], sigma[s2] = sigma[s2], sigma[s1]
+        return self.permuted(sigma)
+
+    def to_json_obj(self):
+        return {
+            "n": self.space.n,
+            "signature": list(self.space.signature),
+            "arity": self.arity,
+            "components": [
+                {"idx": list(idx), "value": format_rational(v)}
+                for idx, v in self.sorted_terms()
+            ],
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        space = Space(obj["n"], tuple(obj["signature"]))
+        res = cls(space, obj["arity"])
+        for entry in obj["components"]:
+            idx = tuple(entry["idx"])
+            if (len(idx) != obj["arity"]
+                    or any(not isinstance(i, int) or not 0 <= i < space.n for i in idx)):
+                raise ValueError(f"bad component index {idx}")
+            res.set(idx, res.get(idx) + parse_rational(entry["value"]))
+        return res
+
+    def __repr__(self):
+        return f"MultiTensor(n={self.space.n}, arity={self.arity}, nnz={len(self.coeffs)})"
+
+
 def kulkarni(h: SymPairTensor):
     """Kulkarni-Nomizu style extension of h to a curvature-type tensor.
 
@@ -298,8 +368,6 @@ def kulkarni(h: SymPairTensor):
         (x; a, b, c, d) -> h(x, a, c; b, d) - h(x, b, c; a, d)
                            - h(x, a, d; b, c) + h(x, b, d; a, c).
     """
-    from .jets import MultiTensor  # local import keeps module layering simple
-
     space = h.space
     n = space.n
     k = h.k - 2

@@ -21,7 +21,6 @@ from .freealg import (
 )
 from .jets import (
     CurvatureJet,
-    MultiTensor,
     SymJet,
     extend_jet,
     hook_constant,
@@ -47,6 +46,7 @@ from .metriclab import (
 )
 from .poly import Poly
 from .tensor import (
+    MultiTensor,
     Space,
     SymPairTensor,
     curvature_jet_dim_bound,
@@ -261,10 +261,10 @@ def suite_validator(n: int, max_k: int, seed: int = 0):
     detected = True
     total = 0
     for level, t in enumerate(jet.levels):
-        size = len(t.data)
-        probes = range(size) if size <= 200 else rng.sample(range(size), 50)
-        for off in probes:
-            mutated = jet.levels[:level] + [_bump(t, off)] + jet.levels[level + 1:]
+        indices = list(t.iter_indices())
+        probes = indices if len(indices) <= 200 else rng.sample(indices, 50)
+        for idx in probes:
+            mutated = jet.levels[:level] + [_bump(t, idx)] + jet.levels[level + 1:]
             if not validate_jet(CurvatureJet(space, mutated)):
                 detected = False
             total += 1
@@ -281,9 +281,9 @@ def suite_validator(n: int, max_k: int, seed: int = 0):
     return out
 
 
-def _bump(t, offset):
-    res = MultiTensor(t.space, t.arity, t.data)
-    res.data[offset] = res.data[offset] + 1
+def _bump(t, idx):
+    res = MultiTensor(t.space, t.arity, t.coeffs)
+    res.set(idx, res.get(idx) + 1)
     return res
 
 

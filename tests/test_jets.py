@@ -69,6 +69,57 @@ def oracle_jet(space, order, seed=0, bound=2):
     return curvature_jet_at_origin(g, order)
 
 
+def random_jet(space, order, rng):
+    """A jet with random entries at about a third of the indices; invalid."""
+    levels = []
+    for level in range(order + 1):
+        t = MultiTensor.zero(space, level + 4)
+        for idx in t.iter_indices():
+            if rng.random() < 0.3:
+                t.set(idx, F(rng.randint(-5, 5), rng.randint(1, 3)))
+        levels.append(t)
+    return CurvatureJet(space, levels)
+
+
+def reference_ricci_defect(jet, level, i):
+    """The Ricci exchange defect gathered index by index: for every output
+    index, every split of the prefix slots and every free slot, the
+    derivation term read off the lower levels directly."""
+    space = jet.space
+    n = space.n
+    t = jet.levels[level]
+    lhs = t - t.swapped(i - 1, i)
+
+    p = i - 1
+    q = level - i - 1
+    rhs = MultiTensor.zero(space, level + 4)
+    prefix_positions = list(range(p))
+    for idx in itertools.product(range(n), repeat=level + 4):
+        prefix = idx[:p]
+        xi, xj = idx[p], idx[p + 1]
+        tail = idx[p + 2:]
+        total = 0
+        for r in range(p + 1):
+            for subset in itertools.combinations(prefix_positions, r):
+                v_i = tuple(prefix[s] for s in subset)
+                v_j = tuple(prefix[s] for s in prefix_positions if s not in subset)
+                a_level = jet.levels[r]
+                u_level = jet.levels[len(v_j) + q]
+                # derivation action on the q + 4 free slots of u_level,
+                # with the v_j block frozen
+                base = v_j + tail
+                for s in range(q + 4):
+                    pos = len(v_j) + s
+                    js = base[pos]
+                    for m in range(n):
+                        a = a_level.get(v_i + (xi, xj, js, m))
+                        if a:
+                            new = base[:pos] + (m,) + base[pos + 1:]
+                            total -= space.eps(m) * a * u_level.get(new)
+        rhs.set(idx, total)
+    return lhs - rhs
+
+
 class TestMultiTensor:
     def test_permuted_semantics(self):
         t = MultiTensor.zero(E2, 2)
@@ -91,10 +142,20 @@ class TestMultiTensor:
         assert MultiTensor.from_json_obj(t.to_json_obj()) == t
 
     def test_json_rejects_bad_index(self):
-        obj = {"n": 2, "signature": [1, 1], "arity": 2,
-               "components": [{"idx": [0, 5], "value": "1"}]}
-        with pytest.raises(ValueError):
-            MultiTensor.from_json_obj(obj)
+        for idx in ([0, 5], [0, -1], [0, 1.0], [0]):
+            obj = {"n": 2, "signature": [1, 1], "arity": 2,
+                   "components": [{"idx": idx, "value": "1"}]}
+            with pytest.raises(ValueError):
+                MultiTensor.from_json_obj(obj)
+
+    def test_zero_components_are_not_stored(self):
+        t = MultiTensor.zero(E2, 2)
+        assert t.get((1, 0)) == 0
+        t.set((1, 0), F(3))
+        t.set((0, 1), 0)
+        assert t.coeffs == {(1, 0): 3}
+        t.set((1, 0), F(0))
+        assert t.coeffs == {} and t.is_zero()
 
 
 class TestValidation:
@@ -184,6 +245,24 @@ class TestValidation:
                 for rest in itertools.product(range(n), repeat=4):
                     lhs = t2.get((x1, x2) + rest) - t2.get((x2, x1) + rest)
                     assert lhs == rhs.get(rest)
+
+
+class TestRicciReference:
+    """``ricci_defect`` against the index-by-index gather on jets whose
+    defects are nonzero, at every level and slot pair."""
+
+    @pytest.mark.parametrize("space,order,seed", [
+        (E2, 5, 1), (Space(2, (-1, 1)), 5, 2), (L3, 3, 3),
+    ], ids=["e2", "l2", "l3"])
+    def test_ricci_defect_matches_reference_on_invalid_jets(self, space, order, seed):
+        jet = random_jet(space, order, random.Random(seed))
+        nonzero = 0
+        for level in range(2, order + 1):
+            for i in range(1, level):
+                defect = ricci_defect(jet, level, i)
+                assert defect == reference_ricci_defect(jet, level, i), (level, i)
+                nonzero += not defect.is_zero()
+        assert nonzero > 0
 
 
 class TestSymmetrize:

@@ -1,6 +1,7 @@
-"""The linear structure that Poly, FreeElement, SymPairTensor and PolyEnd
-share through ``poly.Sparse``: sums, negatives, scalar multiples,
-equality and hashing, each checked on seeded inputs of all four types.
+"""The linear structure that Poly, FreeElement, SymPairTensor, PolyEnd and
+MultiTensor share through ``poly.Sparse``: sums, negatives, scalar
+multiples, equality and hashing, each checked on seeded inputs of all
+five types.
 """
 
 import random
@@ -10,7 +11,7 @@ import pytest
 
 from jetiso.freealg import FreeElement
 from jetiso.poly import Poly, Sparse
-from jetiso.tensor import PolyEnd, Space, SymPairTensor, sym_indices
+from jetiso.tensor import MultiTensor, PolyEnd, Space, SymPairTensor, sym_indices
 
 E3 = Space(3, (1, 1, 1))
 L3 = Space(3, (-1, 1, 1))
@@ -43,11 +44,18 @@ def random_end(rng, space=L3):
                            for _ in range(5)})
 
 
+def random_multi(rng, space=L3, arity=3):
+    n = space.n
+    return MultiTensor(space, arity, {tuple(rng.randrange(n) for _ in range(arity)): _rational(rng)
+                                      for _ in range(8)})
+
+
 MAKERS = {
     "poly": random_poly,
     "free": random_free,
     "sympair": random_sym_pair,
     "end": random_end,
+    "multi": random_multi,
 }
 
 
@@ -57,6 +65,7 @@ SHAPE = {
     FreeElement: lambda x: (),
     SymPairTensor: lambda x: (x.space, x.k),
     PolyEnd: lambda x: x.space,
+    MultiTensor: lambda x: (x.space, x.arity),
 }
 
 
@@ -169,10 +178,11 @@ class TestOneCopy:
     def test_linear_methods_live_on_the_base(self):
         names = ("is_zero", "__eq__", "__hash__", "__add__", "__neg__", "__sub__",
                  "scaled", "__rmul__", "__bool__", "_with")
-        for cls in (Poly, FreeElement, SymPairTensor, PolyEnd):
+        for cls in (Poly, FreeElement, SymPairTensor, PolyEnd, MultiTensor):
             assert not [name for name in names if name in cls.__dict__], cls
             assert set(Sparse.__slots__).isdisjoint(cls.__slots__)
 
     def test_products_stay_on_their_classes(self):
         # the benchmark tracer patches these by class __dict__ lookup
         assert "mul" in Poly.__dict__ and "__mul__" in PolyEnd.__dict__
+        assert "permuted" in MultiTensor.__dict__
