@@ -120,6 +120,8 @@ def cmd_dims(args):
 
 def cmd_expand(args):
     loaded = _load_jet_like(args.file)
+    if args.order is not None and args.order < 0:
+        raise InputError("need order >= 0")
     if isinstance(loaded, CurvatureJet):
         violations = validate_jet(loaded)
         if violations:
@@ -153,6 +155,8 @@ def cmd_jet(args):
 def cmd_roundtrip(args):
     g = _load_metric(args.file)
     k = args.k if args.k is not None else max(g.order - 2, 0)
+    if k < 0:
+        raise InputError("need k >= 0")
     jet = curvature_jet_at_origin(g, k)
     s = symmetrize_jet(jet, validate=False)
     g2 = metric_from_symjet(s)

@@ -137,15 +137,18 @@ def inverse_series(g: PolyMetric, trunc: int) -> PolyEnd:
     With g = eps (1 + A), where eps is the constant diagonal part,
     g^{-1} = sum_m (-A)^m eps.
     """
-    eps = PolyEnd.diagonal(g.space, g.space.signature)
-    minus_a = eps.mul(metric_form_series(g, trunc) - eps).scaled(-1)
-    term = total = PolyEnd.identity(g.space)
+    space = g.space
+    eps = space.signature
+    a = metric_form_series(g, trunc) - PolyEnd.diagonal(space, eps)
+    # eps is a diagonal of signs, so eps M scales row i and M eps column j
+    minus_a = PolyEnd(space, {(i, j): p.scaled(-eps[i]) for (i, j), p in a.coeffs.items()})
+    term = total = PolyEnd.identity(space)
     for _ in range(trunc):
         term = term.mul(minus_a, trunc)
         if term.is_zero():
             break
         total = total + term
-    return total.mul(eps)
+    return PolyEnd(space, {(i, j): p.scaled(eps[j]) for (i, j), p in total.coeffs.items()})
 
 
 def christoffel_series(g: PolyMetric, trunc: int) -> list:
@@ -176,11 +179,37 @@ def check_normal_gauge(g: PolyMetric) -> bool:
     return all(row.mul(pair_matrix(h)).is_zero() for h in g.parts.values())
 
 
+def _sign_representative(idx):
+    """Move idx to the representative with idx[-4] < idx[-3] and idx[-2] < idx[-1].
+
+    Returns (representative, sign of the move), or None when one of the
+    two antisymmetric pairs holds equal indices, where the component is 0.
+    """
+    a, b, c, d = idx[-4:]
+    if a == b or c == d:
+        return None
+    sign = 1
+    if a > b:
+        a, b, sign = b, a, -sign
+    if c > d:
+        c, d, sign = d, c, -sign
+    return idx[:-4] + (a, b, c, d), sign
+
+
+def _sign_images(idx):
+    """The four images of a representative under the two pair swaps, with signs."""
+    head, (a, b, c, d) = idx[:-4], idx[-4:]
+    return ((head + (a, b, c, d), 1), (head + (b, a, c, d), -1),
+            (head + (a, b, d, c), -1), (head + (b, a, d, c), 1))
+
+
 def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
-    """Fully lowered curvature R(a, b, c, d) as a series dict.
+    """Fully lowered curvature R(a, b, c, d) as a series dict on representatives.
 
     The curvature 2-form has components R_ab = d_a Gamma_b - d_b Gamma_a
     + Gamma_a Gamma_b - Gamma_b Gamma_a, so R(a, b, c, d) = (g R_ab)[d, c].
+    R is antisymmetric in (a, b) and in (c, d), so only keys with a < b
+    and c < d are stored (see ``_sign_representative``).
     """
     metric = metric_form_series(g, trunc)
     out = {}
@@ -189,8 +218,8 @@ def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
             ga, gb = gamma[a], gamma[b]
             two_form = gb.diff(a) - ga.diff(b) + ga.mul(gb, trunc) - gb.mul(ga, trunc)
             for (d, c), p in metric.mul(two_form, trunc).coeffs.items():
-                out[(a, b, c, d)] = p
-                out[(b, a, c, d)] = -p
+                if c < d:
+                    out[(a, b, c, d)] = p
     return out
 
 
@@ -198,9 +227,14 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
     """Prepend one covariant derivative slot to a series tensor dict.
 
     Gather form: out[(j,) + K] = d_j T[K] - sum_{s,m} Gamma^m_{j K_s} T[K, s -> m].
-    Implemented as a scatter over the nonzero components of T, so the
-    component T[idx] feeds every output slot value c with weight
-    -Gamma^{idx_s}_{j c}.
+    T is antisymmetric in its last two slot pairs and stored on sign
+    representatives only; so is the result.  Implemented as a scatter
+    over the stored components: T[idx] feeds every output slot value c
+    with weight -Gamma^{idx_s}_{j c}, and each contribution is moved to
+    the representative of its key with the sign of that move.  This is
+    exact because the derivative commutes with slot permutations and the
+    swaps act freely on nonzero keys; a key with an equal antisymmetric
+    pair receives contributions that sum to 0, so it is skipped.
     """
     out = {}
     for idx, p in t.items():
@@ -213,23 +247,32 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
     for idx, p in t.items():
         for s in range(arity):
             ms = idx[s]
-            for j in range(n):
-                gamma_j = gamma[j].coeffs
-                for c in range(n):
-                    gp = gamma_j.get((ms, c))
+            for c in range(n):
+                moved = _sign_representative(idx[:s] + (c,) + idx[s + 1:])
+                if moved is None:
+                    continue
+                rest, sign = moved
+                for j in range(n):
+                    gp = gamma[j].coeffs.get((ms, c))
                     if gp is None:
                         continue
                     prod = gp.mul(p, trunc)
                     if prod.is_zero():
                         continue
-                    key = (j,) + idx[:s] + (c,) + idx[s + 1:]
+                    if sign > 0:
+                        prod = -prod
+                    key = (j,) + rest
                     cur = out.get(key)
-                    out[key] = -prod if cur is None else cur - prod
+                    out[key] = prod if cur is None else cur + prod
     return {key: p for key, p in out.items() if not p.is_zero()}
 
 
 def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
-    """Jet of the curvature and its covariant derivatives at the origin."""
+    """Jet of the curvature and its covariant derivatives at the origin.
+
+    The series are carried on sign representatives (``_sign_representative``);
+    each level's constant terms are written to all four sign images.
+    """
     space = g.space
     n = space.n
     gamma = christoffel_series(g, order + 1)
@@ -241,7 +284,8 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
         for idx, p in cur.items():
             c = p.constant_term()
             if c:
-                t.set(idx, c)
+                for image, sign in _sign_images(idx):
+                    t.set(image, sign * c)
         levels.append(t)
         if level < order:
             level_trunc -= 1
@@ -304,7 +348,7 @@ def parallel_transport_series(g: PolyMetric, trunc: int) -> PolyEnd:
     gamma = christoffel_series(g, max(trunc - 1, 0))
     radial = PolyEnd.zero(space)
     for j in range(n):
-        radial = radial + gamma[j].scaled(Poly.variable(n, j))
+        radial = radial + gamma[j].times_variable(j)
     radial_parts = [radial.homogeneous_part(d) for d in range(trunc + 1)]
     levels = [PolyEnd.identity(space)]
     for m in range(1, trunc + 1):

@@ -15,6 +15,7 @@ vector-space operations.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class Sparse:
@@ -115,25 +116,39 @@ class Poly(Sparse):
         return max(sum(m) for m in self.coeffs)
 
     def mul(self, other, trunc=None):
-        """Product, dropping monomials of total degree above ``trunc``."""
+        """Product, dropping monomials of total degree above ``trunc``.
+
+        With ``trunc`` both factors are first grouped by total degree, so
+        only groups whose degrees sum to at most ``trunc`` are multiplied
+        and no dropped pair of terms is ever visited.
+        """
+        if trunc is None:
+            blocks = [(self.coeffs.items(), other.coeffs.items())]
+        else:
+            graded_a = _graded(self.coeffs, trunc)
+            graded_b = _graded(other.coeffs, trunc)
+            blocks = [(ta, tb) for da, ta in graded_a.items()
+                      for db, tb in graded_b.items() if da + db <= trunc]
         out = {}
-        for ma, ca in self.coeffs.items():
-            da = sum(ma)
-            for mb, cb in other.coeffs.items():
-                if trunc is not None and da + sum(mb) > trunc:
-                    continue
-                mono = tuple(a + b for a, b in zip(ma, mb))
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+        for ta, tb in blocks:
+            for ma, ca in ta:
+                for mb, cb in tb:
+                    mono = tuple(map(add, ma, mb))
+                    s = out.get(mono, 0) + ca * cb
+                    if s:
+                        out[mono] = s
+                    else:
+                        del out[mono]
         return self._with(out)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             return self.mul(other)
         return self.scaled(other)
+
+    def times_variable(self, i):
+        """Product with the variable x_i, as a shift of every monomial."""
+        return self._with({m[:i] + (m[i] + 1,) + m[i + 1:]: c for m, c in self.coeffs.items()})
 
     def diff(self, i):
         out = {}
@@ -172,3 +187,13 @@ class Poly(Sparse):
             )
             parts.append(f"{c}" + (f"*{vars_}" if vars_ else ""))
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _graded(coeffs, max_deg):
+    """The (monomial, coefficient) pairs of degree <= max_deg, by degree."""
+    out = {}
+    for mono, c in coeffs.items():
+        d = sum(mono)
+        if d <= max_deg:
+            out.setdefault(d, []).append((mono, c))
+    return out

@@ -429,6 +429,9 @@ class PolyEnd(Sparse):
     def diff(self, i):
         return self._map(lambda p: p.diff(i))
 
+    def times_variable(self, i):
+        return self._map(lambda p: p.times_variable(i))
+
     def mul(self, other, trunc=None):
         """Composition self(other(v)), dropping degrees above ``trunc``."""
         rows = defaultdict(list)

@@ -161,6 +161,11 @@ class TestExpandErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_negative_order(self, example_dir, capsys):
+        code, out, err = run(capsys, "expand", str(example_dir / "symjet.json"),
+                             "--order", "-1")
+        assert code == 2 and "error:" in err and out == ""
+
     def test_invalid_jet_rejected_with_violations(self, example_dir, tmp_path, capsys):
         obj = json.loads((example_dir / "jet.json").read_text())
         obj["levels"][0]["components"].append({"idx": [0, 0, 0, 1], "value": "1"})
@@ -193,6 +198,10 @@ class TestRoundtripCommand:
         code, out, _ = run(capsys, "roundtrip", str(f))
         assert code == 0
         assert "roundtrip exact through degree 4" in out
+
+    def test_negative_order(self, example_dir, capsys):
+        code, out, err = run(capsys, "roundtrip", str(example_dir / "metric.json"), "-k", "-3")
+        assert code == 2 and "error:" in err and out == ""
 
 
 def _n2_documents():

@@ -33,7 +33,7 @@ from jetiso.metriclab import (
     transport_polynomial,
 )
 from jetiso.poly import Poly
-from jetiso.tensor import Space, SymPairTensor, eval_pair, multiset_count
+from jetiso.tensor import MultiTensor, Space, SymPairTensor, eval_pair, multiset_count
 
 F = Fraction
 
@@ -41,6 +41,7 @@ E2 = Space(2, (1, 1))
 E3 = Space(3, (1, 1, 1))
 L2 = Space(2, (-1, 1))
 L3 = Space(3, (-1, 1, 1))
+L4 = Space(4, (-1, 1, 1, 1))
 
 
 def basis_vec(n, i):
@@ -253,6 +254,83 @@ class TestCurvatureJet:
             g = random_normal_metric(space, 5, random.Random(7))
             jet = curvature_jet_at_origin(g, 3)
             assert validate_jet(jet) == []
+
+
+def reference_lowered_curvature(g, gamma, trunc):
+    """R(a, b, c, d) = (g R_ab)[d, c] at every key, assuming no symmetry."""
+    metric = metric_form_series(g, trunc)
+    out = {}
+    for a, b in itertools.product(range(g.space.n), repeat=2):
+        ga, gb = gamma[a], gamma[b]
+        two_form = gb.diff(a) - ga.diff(b) + ga.mul(gb, trunc) - gb.mul(ga, trunc)
+        for (d, c), p in metric.mul(two_form, trunc).coeffs.items():
+            out[(a, b, c, d)] = p
+    return out
+
+
+def reference_covariant_derivative_dict(t, arity, gamma, n, trunc):
+    """One covariant derivative scattered from every stored component:
+    T[idx] feeds each output slot value c with weight -Gamma^{idx_s}_{j c}."""
+    out = {}
+    for idx, p in t.items():
+        for j in range(n):
+            d = p.diff(j).truncated(trunc)
+            if not d.is_zero():
+                key = (j,) + idx
+                cur = out.get(key)
+                out[key] = d if cur is None else cur + d
+    for idx, p in t.items():
+        for s in range(arity):
+            ms = idx[s]
+            for j in range(n):
+                gamma_j = gamma[j].coeffs
+                for c in range(n):
+                    gp = gamma_j.get((ms, c))
+                    if gp is None:
+                        continue
+                    prod = gp.mul(p, trunc)
+                    if prod.is_zero():
+                        continue
+                    key = (j,) + idx[:s] + (c,) + idx[s + 1:]
+                    cur = out.get(key)
+                    out[key] = -prod if cur is None else cur - prod
+    return {key: p for key, p in out.items() if not p.is_zero()}
+
+
+def reference_curvature_levels(g, order):
+    """The jet levels with every component carried through every step."""
+    gamma = christoffel_series(g, order + 1)
+    cur = reference_lowered_curvature(g, gamma, order)
+    levels = []
+    for level in range(order + 1):
+        levels.append(MultiTensor(g.space, level + 4,
+                                  {idx: p.constant_term() for idx, p in cur.items()}))
+        if level < order:
+            cur = reference_covariant_derivative_dict(cur, level + 4, gamma, g.space.n,
+                                                      order - level - 1)
+    return levels
+
+
+class TestSignReducedSeries:
+    """``curvature_jet_at_origin`` carries only sign representatives of the
+    two antisymmetric slot pairs; the full scatter is the reference."""
+
+    @pytest.mark.parametrize("space, order", [(E2, 4), (L2, 4), (E3, 3), (L3, 3)],
+                             ids=["e2", "l2", "e3", "l3"])
+    def test_matches_full_scatter(self, space, order):
+        g = random_normal_metric(space, order + 2, random.Random(60 + space.n))
+        jet = curvature_jet_at_origin(g, order)
+        reference = reference_curvature_levels(g, order)
+        assert len(jet.levels) == len(reference)
+        for level, (t, want) in enumerate(zip(jet.levels, reference)):
+            assert not want.is_zero(), level
+            assert t == want, level
+
+    def test_metric_free_route_agrees_at_n4(self):
+        g = random_normal_metric(L4, 4, random.Random(61))
+        jet = curvature_jet_at_origin(g, 2)
+        assert all(not t.is_zero() for t in jet.levels)
+        assert jet_from_symjet(symmetrize_jet(jet)) == jet
 
 
 class TestMetricFromSymjet:

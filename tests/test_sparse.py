@@ -127,6 +127,31 @@ class TestLinearStructure:
                 assert all(result.coeffs.values())
 
 
+class TestTruncatedProduct:
+    """``Poly.mul(b, t)`` multiplies only the degree groups within the cut,
+    so it must equal the full product cut afterwards."""
+
+    def test_equals_full_product_truncated(self):
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            a = random_poly(rng, max_deg=4, terms=10)
+            b = random_poly(rng, max_deg=4, terms=10)
+            assert len({sum(m) for m in a.coeffs}) > 1 and len({sum(m) for m in b.coeffs}) > 1
+            n = a.n
+            zero, const = Poly.zero(n), Poly.const(n, Fraction(-3, 2))
+            for x, y in ((a, b), (b, a), (a, a), (a, a.scaled(-1)), (a, zero), (zero, b),
+                         (zero, zero), (a, const), (const, b), (const, const)):
+                full = x.mul(y)
+                for t in range(-1, x.degree() + y.degree() + 2):
+                    assert x.mul(y, t) == full.truncated(t), (seed, t)
+
+    def test_times_variable_is_the_product(self):
+        for seed in SEEDS:
+            a = random_poly(random.Random(seed))
+            for i in range(a.n):
+                assert a.times_variable(i) == a.mul(Poly.variable(a.n, i))
+
+
 class TestShapeInEquality:
     def test_poly_n(self):
         assert Poly(2, {(1, 0): 1}) != Poly(3, {(1, 0): 1})
