@@ -185,6 +185,10 @@ def cmd_extend(args):
 
 
 def cmd_verify(args):
+    if args.max_k < 0:
+        raise InputError("need max-k >= 0")
+    if args.trials < 1:
+        raise InputError("need trials >= 1")
     results = run_suites(args.suite, n=args.n, max_k=args.max_k,
                          seed=args.seed, trials=args.trials)
     failed = 0
@@ -203,6 +207,8 @@ def cmd_verify(args):
 def cmd_example(args):
     if args.name != "const-curvature":
         raise InputError(f"unknown example {args.name!r}")
+    if args.order < 0:
+        raise InputError("need order >= 0")
     n = args.n
     signature = _parse_signature(args.signature, n) if args.signature else (1,) * n
     space = Space(n, signature)

@@ -15,6 +15,11 @@ derivative of the curvature tensor at a point, so validity means:
   terms built from lower levels (the Ricci identity); the exchange
   defect is computed exactly by ``ricci_defect``.
 
+These identities are weighted-homogeneous: the dilation x -> t x scales
+T_l by t^(l+2), and each identity at level l keeps weight l+2.  A jet is
+therefore valid exactly when its dilation is, and ``validate_jet`` checks
+the dilation by the least common denominator, whose entries are ints.
+
 Linear jet components are the jets of the special form (0, ..., 0, T);
 for those the derivative slots are fully symmetric and the only other
 constraints are the Bianchi identities.  They are reconstructed from
@@ -29,7 +34,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .exactla import RatMatrix, format_rational, nullspace_basis, solve_affine
 from .tensor import (
@@ -307,8 +312,25 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
     return t - t.swapped(i - 1, i) - t._with({idx: v for idx, v in rhs.items() if v})
 
 
+def _integral_dilation(jet: "CurvatureJet"):
+    """The jet dilated by t, the least common denominator of its entries:
+    level l is scaled by t**(l+2), which leaves every entry an int."""
+    t = lcm(1, *{v.denominator for lv in jet.levels for v in lv.coeffs.values()})
+    levels = []
+    for l, lv in enumerate(jet.levels):
+        w = t ** (l + 2)
+        levels.append(lv._with({idx: v.numerator * (w // v.denominator)
+                                for idx, v in lv.coeffs.items()}))
+    return t, CurvatureJet(jet.space, levels)
+
+
 def validate_jet(jet: "CurvatureJet"):
-    """All violations of the jet identities, empty when the jet is valid."""
+    """All violations of the jet identities, empty when the jet is valid.
+
+    Each identity has weight l+2 at level l, the weight of T_l under the
+    dilation x -> t x (the Ricci defect pairs levels r and l-2-r), so the
+    checks run on the integral dilation and each ``value`` is scaled back."""
+    scale, jet = _integral_dilation(jet)
     out = []
     for level, t in enumerate(jet.levels):
         out.extend(_curvature_block_violations(t, level))
@@ -321,6 +343,8 @@ def validate_jet(jet: "CurvatureJet"):
             defect = ricci_defect(jet, level, i)
             if not defect.is_zero():
                 out.append(Violation(level, "ricci", (i, i + 1), *_worst_index(defect)))
+    for v in out:
+        v.value = Fraction(v.value, scale ** (v.level + 2))
     return out
 
 

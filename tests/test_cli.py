@@ -153,6 +153,11 @@ class TestExamplePipeline:
                            "--out", str(tmp_path / "x"))
         assert code == 2 and "error:" in err
 
+    def test_negative_order(self, tmp_path, capsys):
+        code, out, err = run(capsys, "example", "--order", "-1", "--out", str(tmp_path / "x"))
+        assert code == 2 and "error: need order >= 0" in err and out == ""
+        assert not (tmp_path / "x").exists()
+
 
 class TestExpandErrors:
     def test_order_beyond_input(self, example_dir, capsys):
@@ -303,6 +308,15 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-k", "-1", "error: need max-k >= 0"),
+        ("--trials", "0", "error: need trials >= 1"),
+    ], ids=["max-k", "trials"])
+    def test_vacuous_argument(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "verify", "--suite", "extension", "-n", "3",
+                             "--max-k", "1", flag, value)
+        assert code == 2 and message in err and out == ""
 
 
 class TestParser:

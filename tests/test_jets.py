@@ -5,6 +5,7 @@ asserted here is checked against geometry rather than against the
 module's own algebra.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -23,6 +24,10 @@ from jetiso.jets import (
     MultiTensor,
     SymJet,
     Violation,
+    _curvature_block_violations,
+    _cyclic_sum,
+    _integral_dilation,
+    _worst_index,
     component_span_solve,
     derivation_apply,
     extend_jet,
@@ -263,6 +268,89 @@ class TestRicciReference:
                 assert defect == reference_ricci_defect(jet, level, i), (level, i)
                 nonzero += not defect.is_zero()
         assert nonzero > 0
+
+
+def reference_validate_jet(jet):
+    """The identity checks of ``validate_jet`` run directly on the jet's own
+    entries, with no dilation."""
+    out = []
+    for level, t in enumerate(jet.levels):
+        out.extend(_curvature_block_violations(t, level))
+        if level >= 1:
+            defect = _cyclic_sum(t, level - 1)
+            if not defect.is_zero():
+                out.append(Violation(level, "bianchi2", (level, level + 1, level + 2),
+                                     *_worst_index(defect)))
+        for i in range(1, level):
+            defect = ricci_defect(jet, level, i)
+            if not defect.is_zero():
+                out.append(Violation(level, "ricci", (i, i + 1), *_worst_index(defect)))
+    return out
+
+
+def dilated(jet, t):
+    """The jet under x -> t x: level l scaled by t**(l+2)."""
+    return CurvatureJet(jet.space, [lv.scaled(F(t) ** (l + 2))
+                                    for l, lv in enumerate(jet.levels)])
+
+
+@functools.lru_cache(maxsize=None)
+def mixed_denominator_jet(space, order, seed, bump=None):
+    """A valid jet whose symmetrized levels are a seeded random symjet's,
+    divided by 1, 2, 3, 5, 7; with ``bump``, one seeded nonzero entry of a
+    level below order - 1 is raised by it, which breaks the jet.  Cached:
+    callers must not change the jet."""
+    s = random_symjet(space, order, random.Random(seed))
+    s = SymJet(space, [h.scaled(F(1, d)) for h, d in zip(s.levels, (1, 2, 3, 5, 7))])
+    jet = jet_from_symjet(s)
+    if bump is not None:
+        rng = random.Random(seed)
+        t = jet.levels[rng.randrange(order - 1)]
+        idx = rng.choice(sorted(t.coeffs))
+        t.set(idx, t.get(idx) + bump)
+    return jet
+
+
+DILATION_SPACES = {"e2": (E2, 4, 1), "l2": (Space(2, (-1, 1)), 4, 2),
+                   "e3": (E3, 3, 3), "l3": (L3, 3, 4)}
+DILATION_BUMPS = {"valid": None, "bump1_7": F(1, 7), "bump1": 1}
+DILATION_CASES = [pytest.param(*DILATION_SPACES[s], DILATION_BUMPS[b], id=f"{s}-{b}")
+                  for s in DILATION_SPACES for b in DILATION_BUMPS]
+
+
+class TestIntegralDilation:
+    """``validate_jet`` checks the jet dilated to integer entries and scales
+    each defect back; the undilated checks are the oracle."""
+
+    @pytest.mark.parametrize("space,order,seed,bump", DILATION_CASES)
+    def test_matches_undilated_checks(self, space, order, seed, bump):
+        jet = mixed_denominator_jet(space, order, seed, bump)
+        found = [str(v) for v in validate_jet(jet)]
+        assert found == [str(v) for v in reference_validate_jet(jet)]
+        if bump is None:
+            assert found == []
+        else:
+            assert any(" identity=ricci " in v for v in found)
+
+    @pytest.mark.parametrize("space,order,seed,bump", DILATION_CASES)
+    def test_dilation_scales_only_the_values(self, space, order, seed, bump):
+        jet = mixed_denominator_jet(space, order, seed, bump)
+        base = validate_jet(jet)
+        for t in (F(1, 2), F(2, 3), F(3)):
+            found = validate_jet(dilated(jet, t))
+            assert len(found) == len(base)
+            for v, w in zip(base, found):
+                assert (w.level, w.identity, w.slots, w.at, w.nonzero) == \
+                    (v.level, v.identity, v.slots, v.at, v.nonzero)
+                assert w.value == v.value * t ** (v.level + 2)
+
+    @pytest.mark.parametrize("space,order,seed,bump", DILATION_CASES)
+    def test_entries_become_ints(self, space, order, seed, bump):
+        jet = mixed_denominator_jet(space, order, seed, bump)
+        t, int_jet = _integral_dilation(jet)
+        assert t > 1
+        assert all(type(v) is int for lv in int_jet.levels for v in lv.coeffs.values())
+        assert int_jet == dilated(jet, t)
 
 
 class TestSymmetrize:
