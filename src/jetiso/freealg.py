@@ -257,10 +257,12 @@ def evaluate(a: FreeElement, assign, *, unit, add=None, mul=None, scale=None):
         scale = lambda c, x: c * x
     total = None
     for word, c in a.sorted_terms():
-        value = unit
         for letter in word:
             if letter not in assign:
                 raise ValueError(f"no assignment for generator X{letter}")
+        # a word starts from its first letter, not from a product by the unit
+        value = assign[word[0]] if word else unit
+        for letter in word[1:]:
             value = mul(value, assign[letter])
         value = scale(c, value)
         total = value if total is None else add(total, value)

@@ -34,9 +34,10 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .exactla import RatMatrix, format_rational, nullspace_basis, solve_affine
+from .poly import _dilate_integral
 from .tensor import (
     MultiTensor,
     SignedPerm,
@@ -315,12 +316,7 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
 def _integral_dilation(jet: "CurvatureJet"):
     """The jet dilated by t, the least common denominator of its entries:
     level l is scaled by t**(l+2), which leaves every entry an int."""
-    t = lcm(1, *{v.denominator for lv in jet.levels for v in lv.coeffs.values()})
-    levels = []
-    for l, lv in enumerate(jet.levels):
-        w = t ** (l + 2)
-        levels.append(lv._with({idx: v.numerator * (w // v.denominator)
-                                for idx, v in lv.coeffs.items()}))
+    t, levels = _dilate_integral([(l + 2, lv) for l, lv in enumerate(jet.levels)])
     return t, CurvatureJet(jet.space, levels)
 
 

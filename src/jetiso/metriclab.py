@@ -8,6 +8,16 @@ Christoffel symbols, curvature, covariant derivatives, and the
 backwards parallel transport factor are computed as truncated
 polynomial series over the rationals.
 
+The metric -> jet route and the jet -> metric synthesis run on ints.
+Both sides are weighted-homogeneous under x -> t x: the metric part of
+degree d scales by t**d and jet level l by t**(l+2).  So a metric is
+dilated by t, twice the least common denominator of its parts, the
+series are computed in integer arithmetic, and each jet level is divided
+by t**(l+2) once at the end; the 2 in t makes every part of degree d
+divisible by 2**d, so the Christoffel symbols g^{-1} L / 2 stay integral.
+The synthesis dilates the symmetrized jet the same way and divides the
+degree-d part by t**d.
+
 This module is the analytic counterpart of :mod:`jetiso.jets`: jets of
 actual metrics provide the reference values that the algebraic side
 must reproduce, and ``metric_from_symjet`` inverts the direction,
@@ -24,7 +34,7 @@ from math import factorial
 
 from .freealg import evaluate, q_poly, qtilde_poly
 from .jets import CurvatureJet, SymJet
-from .poly import Poly
+from .poly import Poly, _dilate_integral, _graded, _graded_mul_into
 from .tensor import (
     MultiTensor,
     PolyEnd,
@@ -154,21 +164,40 @@ def inverse_series(g: PolyMetric, trunc: int) -> PolyEnd:
 def christoffel_series(g: PolyMetric, trunc: int) -> list:
     """Connection matrices Gamma_j with (Gamma_j)[i, k] = Gamma^i_{jk}.
 
-    Gamma_j = g^{-1} L_j / 2, where L_j[l, k] = d_j g_lk + d_k g_jl - d_l g_jk.
+    Gamma^i_{jk} = sum_l g^{il} L_jk[l] / 2, where
+    L_jk[l] = d_j g_lk + d_k g_jl - d_l g_jk is symmetric in (j, k); each
+    entry is computed for j <= k and mirrored.  The halving is exact and
+    leaves an integral coefficient an int.
     """
     space = g.space
     n = space.n
     ginv = inverse_series(g, trunc)
     metric = metric_form_series(g, trunc + 1)
     dg = [metric.diff(a) for a in range(n)]
-    gamma = []
+    zero = Poly.zero(n)
+    gamma = [{} for _ in range(n)]
     for j in range(n):
-        lowered = PolyEnd(space, {
-            (l, k): dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
-            for l in range(n) for k in range(n)
-        })
-        gamma.append(ginv.mul(lowered, trunc).scaled(Fraction(1, 2)))
-    return gamma
+        for k in range(j, n):
+            lowered = [dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
+                       for l in range(n)]
+            for i in range(n):
+                acc = zero
+                for l, low in enumerate(lowered):
+                    inv = ginv.coeffs.get((i, l))
+                    if inv is not None and low:
+                        acc = acc + inv.mul(low, trunc)
+                if acc:
+                    entry = acc._with({m: _halved(c) for m, c in acc.coeffs.items()})
+                    gamma[j][(i, k)] = gamma[k][(i, j)] = entry
+    return [PolyEnd(space, entries) for entries in gamma]
+
+
+def _halved(c):
+    """c / 2, an int when that is integral."""
+    if type(c) is int and not c & 1:
+        return c >> 1
+    half = Fraction(c, 2)
+    return half.numerator if half.denominator == 1 else half
 
 
 def check_normal_gauge(g: PolyMetric) -> bool:
@@ -235,58 +264,81 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
     exact because the derivative commutes with slot permutations and the
     swaps act freely on nonzero keys; a key with an equal antisymmetric
     pair receives contributions that sum to 0, so it is skipped.
+
+    Each Christoffel entry and each component is graded by degree once
+    and the products accumulate in place (``poly._graded_mul_into``).
     """
     out = {}
     for idx, p in t.items():
         for j in range(n):
             d = p.diff(j).truncated(trunc)
             if not d.is_zero():
-                key = (j,) + idx
-                cur = out.get(key)
-                out[key] = d if cur is None else cur + d
+                out[(j,) + idx] = d.coeffs
+    # weights[(m, c)]: j with the graded weight -sign * Gamma^m_{jc} for each sign of a move
+    weights = {}
+    for j in range(n):
+        for key, gp in gamma[j].coeffs.items():
+            weights.setdefault(key, []).append(
+                (j, {1: _graded((-gp).coeffs, trunc), -1: _graded(gp.coeffs, trunc)}))
     for idx, p in t.items():
+        graded = _graded(p.coeffs, trunc)
         for s in range(arity):
             ms = idx[s]
             for c in range(n):
+                terms = weights.get((ms, c))
+                if terms is None:
+                    continue
                 moved = _sign_representative(idx[:s] + (c,) + idx[s + 1:])
                 if moved is None:
                     continue
                 rest, sign = moved
-                for j in range(n):
-                    gp = gamma[j].coeffs.get((ms, c))
-                    if gp is None:
-                        continue
-                    prod = gp.mul(p, trunc)
-                    if prod.is_zero():
-                        continue
-                    if sign > 0:
-                        prod = -prod
+                for j, by_sign in terms:
                     key = (j,) + rest
-                    cur = out.get(key)
-                    out[key] = prod if cur is None else cur + prod
-    return {key: p for key, p in out.items() if not p.is_zero()}
+                    acc = out.get(key)
+                    if acc is None:
+                        acc = out[key] = {}
+                    _graded_mul_into(acc, by_sign[sign], graded, trunc)
+    zero = Poly.zero(n)
+    return {key: zero._with(coeffs) for key, coeffs in out.items() if coeffs}
+
+
+def _integral_metric(g: PolyMetric):
+    """g dilated into ints: (t, the metric whose part of degree d is t**d times g's).
+
+    t is twice the least common denominator of g's parts, so every part of
+    degree d >= 2 is divisible by 2**d and each L_jk in
+    ``christoffel_series`` is even (parts of degree 1 are 0 by the gauge).
+    """
+    degrees = sorted(g.parts)
+    t, parts = _dilate_integral([(d, g.parts[d]) for d in degrees], factor=2)
+    return t, PolyMetric(g.space, dict(zip(degrees, parts)))
 
 
 def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
     """Jet of the curvature and its covariant derivatives at the origin.
 
-    The series are carried on sign representatives (``_sign_representative``);
+    The series run on ``_integral_metric(g)``, whose level l is t**(l+2)
+    times g's, so each level's constant terms are divided by t**(l+2).
+    They are carried on sign representatives (``_sign_representative``);
     each level's constant terms are written to all four sign images.
     """
     space = g.space
     n = space.n
+    t, g = _integral_metric(g)
     gamma = christoffel_series(g, order + 1)
     cur = _lowered_curvature_dict(g, gamma, order)
     levels = []
     level_trunc = order
     for level in range(order + 1):
-        t = MultiTensor.zero(space, level + 4)
+        tensor = MultiTensor.zero(space, level + 4)
+        scale = t ** (level + 2)
         for idx, p in cur.items():
             c = p.constant_term()
             if c:
+                c = Fraction(c, scale)
                 for image, sign in _sign_images(idx):
-                    t.set(image, sign * c)
-        levels.append(t)
+                    tensor.set(image, sign * c)
+        levels.append(tensor)
         if level < order:
             level_trunc -= 1
             cur = _covariant_derivative_dict(cur, level + 4, gamma, n, level_trunc)
@@ -297,9 +349,9 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
 # direction metric <- symmetrized jet (the universal polynomials at work)
 
 
-def _curvature_operators(s: SymJet):
+def _curvature_operators(levels):
     """Assignment of the curvature operator of each level to its letter."""
-    return {level + 2: pair_to_end(h) for level, h in enumerate(s.levels)}
+    return {level + 2: pair_to_end(h) for level, h in enumerate(levels)}
 
 
 def metric_from_symjet(s: SymJet) -> PolyMetric:
@@ -307,14 +359,19 @@ def metric_from_symjet(s: SymJet) -> PolyMetric:
 
     The degree-d Taylor part is the universal metric polynomial of
     degree d evaluated on the curvature operators of the jet, divided
-    by d!.
+    by d!.  The jet is dilated into ints first (level l by t**(l+2)) and
+    q_poly(d) is cleared of denominators by m; q_poly(d) has weight d, so
+    the degree-d part is divided by m * d! * t**d once, at the end.
     """
     space = s.space
-    operators = _curvature_operators(s)
+    t, levels = _dilate_integral([(l + 2, h) for l, h in enumerate(s.levels)])
+    operators = _curvature_operators(levels)
+    unit = PolyEnd.identity(space)
     parts = []
     for degree in range(2, s.order + 3):
-        end = evaluate(q_poly(degree), operators, unit=PolyEnd.identity(space))
-        parts.append(end_to_pair(end.scaled(Fraction(1, factorial(degree))), degree))
+        m, (q,) = _dilate_integral([(1, q_poly(degree))])
+        part = end_to_pair(evaluate(q, operators, unit=unit), degree)
+        parts.append(part.scaled(Fraction(1, m * factorial(degree) * t ** degree)))
     return make_normal_metric(space, parts)
 
 
@@ -327,7 +384,7 @@ def transport_polynomial(s: SymJet, trunc: int) -> PolyEnd:
     space = s.space
     if trunc > s.order + 2:
         raise ValueError("not enough jet levels for the requested truncation")
-    operators = _curvature_operators(s)
+    operators = _curvature_operators(s.levels)
     total = PolyEnd.zero(space)
     for m in range(trunc + 1):
         end = evaluate(qtilde_poly(m), operators, unit=PolyEnd.identity(space))

@@ -10,11 +10,23 @@ truncated power series everywhere else in the package.
 ``freealg.FreeElement``, ``tensor.SymPairTensor``, ``tensor.PolyEnd`` and
 ``tensor.MultiTensor`` share: one zero-free dict and one copy of the
 vector-space operations.
+
+A truncated product multiplies by degree: ``_graded`` groups a series'
+terms by total degree once, and ``_graded_mul_into`` adds the product of
+two graded operands into a coefficient dict, visiting only the pairs of
+groups whose degrees sum to at most the cut.  ``Poly.mul`` grades both
+factors on every call; a caller that multiplies the same series many
+times (the covariant-derivative step in ``metriclab``) grades each once.
+
+``_dilate_integral`` scales weighted linear combinations by t**weight so
+that every value becomes an ``int``; the jet, series and metric code use
+it to run on integers and scale back once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 
@@ -118,27 +130,12 @@ class Poly(Sparse):
     def mul(self, other, trunc=None):
         """Product, dropping monomials of total degree above ``trunc``.
 
-        With ``trunc`` both factors are first grouped by total degree, so
+        Both factors are first grouped by total degree, so with ``trunc``
         only groups whose degrees sum to at most ``trunc`` are multiplied
         and no dropped pair of terms is ever visited.
         """
-        if trunc is None:
-            blocks = [(self.coeffs.items(), other.coeffs.items())]
-        else:
-            graded_a = _graded(self.coeffs, trunc)
-            graded_b = _graded(other.coeffs, trunc)
-            blocks = [(ta, tb) for da, ta in graded_a.items()
-                      for db, tb in graded_b.items() if da + db <= trunc]
         out = {}
-        for ta, tb in blocks:
-            for ma, ca in ta:
-                for mb, cb in tb:
-                    mono = tuple(map(add, ma, mb))
-                    s = out.get(mono, 0) + ca * cb
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
+        _graded_mul_into(out, _graded(self.coeffs, trunc), _graded(other.coeffs, trunc), trunc)
         return self._with(out)
 
     def __mul__(self, other):
@@ -190,10 +187,47 @@ class Poly(Sparse):
 
 
 def _graded(coeffs, max_deg):
-    """The (monomial, coefficient) pairs of degree <= max_deg, by degree."""
+    """The (monomial, coefficient) pairs of degree <= max_deg (all for None), by degree."""
     out = {}
     for mono, c in coeffs.items():
         d = sum(mono)
-        if d <= max_deg:
+        if max_deg is None or d <= max_deg:
             out.setdefault(d, []).append((mono, c))
     return out
+
+
+def _graded_mul_into(out, graded_a, graded_b, trunc):
+    """Add the product of two ``_graded`` operands into ``out``.
+
+    Monomials of total degree above ``trunc`` are dropped (none for None).
+    ``out`` maps monomials to nonzero coefficients and stays zero-free.
+    """
+    for da, ta in graded_a.items():
+        for db, tb in graded_b.items():
+            if trunc is not None and da + db > trunc:
+                continue
+            for ma, ca in ta:
+                for mb, cb in tb:
+                    mono = tuple(map(add, ma, mb))
+                    s = out.get(mono, 0) + ca * cb
+                    if s:
+                        out[mono] = s
+                    else:
+                        del out[mono]
+
+
+def _dilate_integral(weighted, factor=1):
+    """Dilate weighted linear combinations into ints.
+
+    ``weighted`` is a list of (w, s) pairs, with w >= 1 and s a ``Sparse``
+    of numbers.  t is ``factor`` times the least common denominator of
+    every value, and each value v of s becomes the int v * t**w.  Returns
+    t and the dilated copies, in order.
+    """
+    t = factor * lcm(1, *{v.denominator for _, s in weighted for v in s.coeffs.values()})
+    out = []
+    for w, s in weighted:
+        tw = t ** w
+        out.append(s._with({key: v.numerator * (tw // v.denominator)
+                            for key, v in s.coeffs.items()}))
+    return t, out

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 
 from .exactla import RatMatrix, format_rational, nullspace_basis, parse_rational
 from .poly import Poly, Sparse
@@ -321,10 +322,14 @@ class MultiTensor(Sparse):
 
     def permuted(self, sigma):
         """Slot permutation: out[idx] = self[idx composed with sigma]."""
+        if self.arity < 2:
+            # the only permutation; itemgetter of one slot would return a scalar
+            return self._with(dict(self.coeffs))
         inverse = [0] * self.arity
         for s, target in enumerate(sigma):
             inverse[target] = s
-        return self._with({tuple(idx[s] for s in inverse): v for idx, v in self.coeffs.items()})
+        key = itemgetter(*inverse)
+        return self._with({key(idx): v for idx, v in self.coeffs.items()})
 
     def swapped(self, s1, s2):
         sigma = list(range(self.arity))

@@ -182,6 +182,22 @@ class TestEvaluate:
     def test_missing_assignment(self):
         with pytest.raises(ValueError, match="X5"):
             evaluate(qtilde_recursive(5), {2: F(1), 3: F(1)}, unit=F(1))
+        with pytest.raises(ValueError, match="X9"):
+            evaluate(elem(((2, 9), 1)), {2: F(1)}, unit=F(1))
+
+    def test_no_product_by_the_unit(self):
+        products = []
+
+        def mul(x, y):
+            products.append((x, y))
+            return x * y
+
+        a = elem(((), 3), ((2,), 5), ((2, 3), 7), ((3, 3, 2), 1))
+        val = evaluate(a, {2: F(2), 3: F(-1, 3)}, unit=F(1), mul=mul)
+        assert val == 3 + 5 * 2 + 7 * 2 * F(-1, 3) + F(1, 9) * 2
+        assert products == [(F(2), F(-1, 3)), (F(-1, 3), F(-1, 3)), (F(1, 9), F(2))]
+        assert evaluate(elem(((), 4)), {}, unit=F(1), mul=mul) == 4
+        assert len(products) == 3
 
 
 class TestTextForm:

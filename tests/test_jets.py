@@ -134,6 +134,14 @@ class TestMultiTensor:
         assert s.get((1, 0)) == 5
         assert s.get((0, 1)) == 0
 
+    def test_permuted_below_two_slots_is_a_copy(self):
+        for arity, idx in ((0, ()), (1, (2,))):
+            t = MultiTensor.zero(E3, arity)
+            t.set(idx, F(-4, 3))
+            s = t.permuted(tuple(range(arity)))
+            assert s == t and s.coeffs is not t.coeffs
+            assert list(s.coeffs) == [idx]
+
     def test_swap_involution(self):
         rng = random.Random(1)
         t = MultiTensor.zero(E3, 3)

@@ -11,14 +11,19 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
 from jetiso.exactla import format_rational
-from jetiso.jets import jet_from_symjet, symmetrize_jet, validate_jet
+from jetiso.freealg import evaluate, q_poly
+from jetiso.jets import CurvatureJet, SymJet, jet_from_symjet, symmetrize_jet, validate_jet
 from jetiso.metriclab import (
     GaugeError,
     PolyMetric,
+    _covariant_derivative_dict,
+    _integral_metric,
+    _lowered_curvature_dict,
     check_normal_gauge,
     christoffel_series,
     const_curvature_symjet,
@@ -33,7 +38,17 @@ from jetiso.metriclab import (
     transport_polynomial,
 )
 from jetiso.poly import Poly
-from jetiso.tensor import MultiTensor, Space, SymPairTensor, eval_pair, multiset_count
+from jetiso.tensor import (
+    MultiTensor,
+    PolyEnd,
+    Space,
+    SymPairTensor,
+    end_to_pair,
+    eval_pair,
+    gauge_basis,
+    multiset_count,
+    pair_to_end,
+)
 
 F = Fraction
 
@@ -331,6 +346,125 @@ class TestSignReducedSeries:
         jet = curvature_jet_at_origin(g, 2)
         assert all(not t.is_zero() for t in jet.levels)
         assert jet_from_symjet(symmetrize_jet(jet)) == jet
+
+
+def reference_curvature_jet_at_origin(g, order):
+    """The curvature jet by the undilated Fraction route, with full scatter."""
+    return CurvatureJet(g.space, reference_curvature_levels(g, order))
+
+
+def reference_christoffel_series(g, trunc):
+    """Gamma_j = g^{-1} L_j / 2 as one full matrix product for every j."""
+    n = g.space.n
+    ginv = inverse_series(g, trunc)
+    dg = [metric_form_series(g, trunc + 1).diff(a) for a in range(n)]
+    gamma = []
+    for j in range(n):
+        lowered = PolyEnd(g.space, {
+            (l, k): dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
+            for l in range(n) for k in range(n)
+        })
+        gamma.append(ginv.mul(lowered, trunc).scaled(F(1, 2)))
+    return gamma
+
+
+def reference_metric_from_symjet(s):
+    """The metric synthesis evaluated on the Fraction jet, undilated."""
+    operators = {level + 2: pair_to_end(h) for level, h in enumerate(s.levels)}
+    parts = []
+    for degree in range(2, s.order + 3):
+        end = evaluate(q_poly(degree), operators, unit=PolyEnd.identity(s.space))
+        parts.append(end_to_pair(end.scaled(F(1, factorial(degree))), degree))
+    return make_normal_metric(s.space, parts)
+
+
+DENOMINATORS = (1, 2, 3, 5, 7)
+
+
+def mixed_gauge_tensors(space, degrees, rng):
+    """Random gauge tensors whose basis coefficients are +-1 over the
+    denominators 1, 2, 3, 5, 7 in turn."""
+    dens = itertools.cycle(DENOMINATORS)
+    out = []
+    for degree in degrees:
+        h = SymPairTensor.zero(space, degree)
+        for b in gauge_basis(space, degree):
+            h = h + b.scaled(F(rng.choice((-1, 1)), next(dens)))
+        out.append(h)
+    return out
+
+
+def common_denominator(tensors):
+    return lcm(*{v.denominator for h in tensors for v in h.coeffs.values()})
+
+
+def only_ints(polys):
+    return all(type(c) is int for p in polys for c in p.coeffs.values())
+
+
+INTEGRAL_CASES = [(space, seed) for space in (E2, L2, E3, L3) for seed in (0, 1)]
+INTEGRAL_IDS = [f"n{s.n}{'l' if s.signature[0] < 0 else 'e'}-{seed}" for s, seed in INTEGRAL_CASES]
+
+
+class TestIntegralSeries:
+    """The series route runs on the metric dilated by t (twice the least
+    common denominator of its parts) and the synthesis on the jet dilated by
+    the least common denominator of its levels; both must equal the
+    undilated Fraction computation."""
+
+    ORDER = 5
+
+    def metric(self, space, seed):
+        rng = random.Random(f"integral:{space}:{seed}")
+        g = make_normal_metric(space, mixed_gauge_tensors(space, range(2, self.ORDER + 1), rng))
+        assert common_denominator(g.parts.values()) % (2 * 3 * 5 * 7) == 0
+        return g
+
+    @pytest.mark.parametrize("space, seed", INTEGRAL_CASES, ids=INTEGRAL_IDS)
+    def test_jet_equals_undilated_route(self, space, seed):
+        g = self.metric(space, seed)
+        order = self.ORDER - 2
+        jet = curvature_jet_at_origin(g, order)
+        assert all(not t.is_zero() for t in jet.levels)
+        assert jet == reference_curvature_jet_at_origin(g, order)
+
+    @pytest.mark.parametrize("space, seed", INTEGRAL_CASES, ids=INTEGRAL_IDS)
+    def test_dilated_series_hold_ints(self, space, seed):
+        g = self.metric(space, seed)
+        order = self.ORDER - 2
+        t, gi = _integral_metric(g)
+        assert t == 2 * common_denominator(g.parts.values())
+        for d, h in gi.parts.items():
+            assert h == g.parts[d].scaled(t ** d)
+            assert all(type(v) is int for v in h.coeffs.values())
+        gamma = christoffel_series(gi, order + 1)
+        assert only_ints(p for m in gamma for p in m.coeffs.values())
+        cur = _lowered_curvature_dict(gi, gamma, order)
+        assert cur and only_ints(cur.values())
+        for level in range(order):
+            cur = _covariant_derivative_dict(cur, level + 4, gamma, space.n, order - level - 1)
+            assert cur and only_ints(cur.values()), level
+
+    @pytest.mark.parametrize("space, seed", INTEGRAL_CASES[::2], ids=INTEGRAL_IDS[::2])
+    def test_christoffel_dilates_with_weight_degree_plus_one(self, space, seed):
+        g = self.metric(space, seed)
+        t, gi = _integral_metric(g)
+        trunc = self.ORDER - 1
+        gamma = christoffel_series(g, trunc)
+        assert gamma == reference_christoffel_series(g, trunc)
+        for m, mi in zip(gamma, christoffel_series(gi, trunc)):
+            assert mi == PolyEnd(space, {
+                key: Poly(space.n, {mono: c * t ** (sum(mono) + 1) for mono, c in p.coeffs.items()})
+                for key, p in m.coeffs.items()})
+
+    @pytest.mark.parametrize("space, seed", INTEGRAL_CASES, ids=INTEGRAL_IDS)
+    def test_metric_from_symjet_equals_undilated_evaluation(self, space, seed):
+        rng = random.Random(f"integral-symjet:{space}:{seed}")
+        s = SymJet(space, mixed_gauge_tensors(space, range(2, self.ORDER + 1), rng))
+        assert common_denominator(s.levels) % (2 * 3 * 5 * 7) == 0
+        g = metric_from_symjet(s)
+        assert g == reference_metric_from_symjet(s)
+        assert g.to_json_obj() == reference_metric_from_symjet(s).to_json_obj()
 
 
 class TestMetricFromSymjet:

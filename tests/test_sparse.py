@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from jetiso.freealg import FreeElement
-from jetiso.poly import Poly, Sparse
+from jetiso.poly import Poly, Sparse, _graded, _graded_mul_into
 from jetiso.tensor import MultiTensor, PolyEnd, Space, SymPairTensor, sym_indices
 
 E3 = Space(3, (1, 1, 1))
@@ -144,6 +144,19 @@ class TestTruncatedProduct:
                 full = x.mul(y)
                 for t in range(-1, x.degree() + y.degree() + 2):
                     assert x.mul(y, t) == full.truncated(t), (seed, t)
+
+    def test_graded_kernel_accumulates_the_product(self):
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            a, b, c = (random_poly(rng, max_deg=4, terms=10) for _ in range(3))
+            for t in (None, *range(-1, 10)):
+                out = dict(c.coeffs)
+                _graded_mul_into(out, _graded(a.coeffs, None), _graded(b.coeffs, t), t)
+                assert Poly(a.n, out) == c + a.mul(b, t), (seed, t)
+                assert a.mul(b, t) == (a.mul(b) if t is None else a.mul(b).truncated(t))
+                # adding the negated product cancels back, leaving no zeros stored
+                _graded_mul_into(out, _graded(b.coeffs, None), _graded((-a).coeffs, t), t)
+                assert out == c.coeffs, (seed, t)
 
     def test_times_variable_is_the_product(self):
         for seed in SEEDS:
