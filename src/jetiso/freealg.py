@@ -241,20 +241,14 @@ def leading_coeff(k: int) -> Fraction:
     return q_poly(k).coeff((k,))
 
 
-def evaluate(a: FreeElement, assign, *, unit, add=None, mul=None, scale=None):
+def evaluate(a: FreeElement, assign, *, unit):
     """Substitute algebra elements for generators.
 
     ``assign`` maps letters to elements of any associative algebra with
-    the given unit; ``add``, ``mul`` and ``scale`` default to the
-    operators of the values themselves.  Raises ValueError when a letter
-    of ``a`` has no assignment.
+    the given unit, combined by the values' own ``+`` and ``*`` and scaled
+    by ``c * value``.  Raises ValueError when a letter of ``a`` has no
+    assignment.
     """
-    if add is None:
-        add = lambda x, y: x + y
-    if mul is None:
-        mul = lambda x, y: x * y
-    if scale is None:
-        scale = lambda c, x: c * x
     total = None
     for word, c in a.sorted_terms():
         for letter in word:
@@ -263,9 +257,9 @@ def evaluate(a: FreeElement, assign, *, unit, add=None, mul=None, scale=None):
         # a word starts from its first letter, not from a product by the unit
         value = assign[word[0]] if word else unit
         for letter in word[1:]:
-            value = mul(value, assign[letter])
-        value = scale(c, value)
-        total = value if total is None else add(total, value)
+            value = value * assign[letter]
+        value = c * value
+        total = value if total is None else total + value
     if total is None:
-        return scale(Fraction(0), unit)
+        return Fraction(0) * unit
     return total

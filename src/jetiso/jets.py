@@ -44,9 +44,10 @@ from .tensor import (
     Space,
     SymPairTensor,
     content_of,
+    int_field,
     is_gauge_tensor,
     kulkarni,
-    sym_indices,
+    pair_average,
     transform_pair_tensor,
 )
 
@@ -121,15 +122,17 @@ class CurvatureJet:
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
+        order = int_field(obj, "order")
         levels = []
         for l, lv in enumerate(obj["levels"]):
-            if lv["arity"] != l + 4:
-                raise ValueError(f"level {l} has arity {lv['arity']}, expected {l + 4}")
+            arity = int_field(lv, "arity")
+            if arity != l + 4:
+                raise ValueError(f"level {l} has arity {arity}, expected {l + 4}")
             levels.append(MultiTensor.from_json_obj({
                 "n": obj["n"], "signature": obj["signature"],
-                "arity": lv["arity"], "components": lv["components"],
+                "arity": arity, "components": lv["components"],
             }))
-        if len(levels) != obj["order"] + 1:
+        if len(levels) != order + 1:
             raise ValueError("order does not match the number of levels")
         return cls(space, levels)
 
@@ -176,15 +179,17 @@ class SymJet:
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
+        order = int_field(obj, "order")
         levels = []
         for l, lv in enumerate(obj["levels"]):
-            if lv["degree"] != l + 2:
-                raise ValueError(f"level {l} has degree {lv['degree']}, expected {l + 2}")
+            degree = int_field(lv, "degree")
+            if degree != l + 2:
+                raise ValueError(f"level {l} has degree {degree}, expected {l + 2}")
             levels.append(SymPairTensor.from_json_obj({
                 "n": obj["n"], "signature": obj["signature"],
-                "k": lv["degree"], "components": lv["components"],
+                "k": degree, "components": lv["components"],
             }))
-        if len(levels) != obj["order"] + 1:
+        if len(levels) != order + 1:
             raise ValueError("order does not match the number of levels")
         return cls(space, levels)
 
@@ -374,25 +379,16 @@ def _symmetrize_level(t: MultiTensor, level: int) -> SymPairTensor:
     """Total symmetrization of a jet level into Sym^(l+2) tensor Sym^2.
 
     The symmetric slots collect the derivative slots plus curvature
-    slots 2 and 3; the pair keeps curvature slots 1 and 4.
+    slots 2 and 3; the pair keeps curvature slots 1 and 4.  Each stored
+    component adds to the one sorted key it lands on, and
+    ``pair_average`` turns the sums into averages.
     """
-    space = t.space
-    n = space.n
-    m = level + 2
-    comps = {}
-    for sym in sym_indices(n, m):
-        arrangements = sorted(set(itertools.permutations(sym)))
-        for pair in sym_indices(n, 2):
-            p, q = pair
-            total = 0
-            for arr in arrangements:
-                idx = arr[:level] + (p,) + arr[level:] + (q,)
-                idx_t = arr[:level] + (q,) + arr[level:] + (p,)
-                total += t.get(idx) + t.get(idx_t)
-            if total:
-                # average over distinct arrangements and the pair order
-                comps[(sym, pair)] = Fraction(total, 2 * len(arrangements))
-    return SymPairTensor(space, m, comps)
+    sums = defaultdict(int)
+    for idx, v in t.coeffs.items():
+        p, q = idx[level], idx[level + 3]
+        sym = tuple(sorted(idx[:level] + idx[level + 1:level + 3]))
+        sums[(sym, (p, q) if p <= q else (q, p))] += v
+    return pair_average(t.space, level + 2, sums)
 
 
 def symmetrize_jet(jet: CurvatureJet, validate: bool = True) -> SymJet:

@@ -42,6 +42,7 @@ from .tensor import (
     SymPairTensor,
     end_to_pair,
     gauge_basis,
+    int_field,
     is_gauge_tensor,
     pair_matrix,
     pair_to_end,
@@ -102,7 +103,7 @@ class PolyMetric:
         return make_normal_metric(space, [
             SymPairTensor.from_json_obj({
                 "n": obj["n"], "signature": obj["signature"],
-                "k": entry["degree"], "components": entry["components"],
+                "k": int_field(entry, "degree"), "components": entry["components"],
             })
             for entry in obj["parts"]
         ])
@@ -448,29 +449,23 @@ def const_curvature_symjet(space: Space, kappa, order: int) -> SymJet:
     return SymJet(space, levels)
 
 
+def _random_gauge_tensor(space: Space, degree: int, rng, coeff_bound: int) -> SymPairTensor:
+    """Random combination of the gauge basis with small integer coefficients."""
+    h = SymPairTensor.zero(space, degree)
+    for b in gauge_basis(space, degree):
+        c = rng.randint(-coeff_bound, coeff_bound)
+        if c:
+            h = h + b.scaled(c)
+    return h
+
+
 def random_symjet(space: Space, order: int, rng, coeff_bound: int = 3) -> SymJet:
     """Random symmetrized jet with small integer coordinates."""
-    levels = []
-    for level in range(order + 1):
-        basis = gauge_basis(space, level + 2)
-        h = SymPairTensor.zero(space, level + 2)
-        for b in basis:
-            c = rng.randint(-coeff_bound, coeff_bound)
-            if c:
-                h = h + b.scaled(c)
-        levels.append(h)
-    return SymJet(space, levels)
+    return SymJet(space, [_random_gauge_tensor(space, level + 2, rng, coeff_bound)
+                          for level in range(order + 1)])
 
 
 def random_normal_metric(space: Space, order: int, rng, coeff_bound: int = 3) -> PolyMetric:
     """Random polynomial normal metric with parts of degree 2..order."""
-    parts = []
-    for degree in range(2, order + 1):
-        basis = gauge_basis(space, degree)
-        h = SymPairTensor.zero(space, degree)
-        for b in basis:
-            c = rng.randint(-coeff_bound, coeff_bound)
-            if c:
-                h = h + b.scaled(c)
-        parts.append(h)
-    return make_normal_metric(space, parts)
+    return make_normal_metric(space, [_random_gauge_tensor(space, degree, rng, coeff_bound)
+                                      for degree in range(2, order + 1)])

@@ -163,16 +163,6 @@ class Poly(Sparse):
     def homogeneous_part(self, deg):
         return self._with({m: c for m, c in self.coeffs.items() if sum(m) == deg})
 
-    def eval(self, point):
-        total = Fraction(0)
-        for mono, c in self.coeffs.items():
-            term = Fraction(c)
-            for x, e in zip(point, mono):
-                for _ in range(e):
-                    term *= x
-            total += term
-        return total
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"

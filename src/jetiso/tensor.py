@@ -15,6 +15,12 @@ the admissible degree-k Taylor coefficients of a metric in normal
 coordinates.  ``gauge_basis`` computes an exact basis by splitting the
 defining linear system into blocks with fixed index content, and
 ``gauge_dim`` gives the closed-form dimension count.
+
+Maps into Sym^k tensor Sym^2 scatter the stored components: the
+multiset weight lives in ``pair_average``, which turns sums over
+arrangements into stored values, and the gauge condition's
+coefficients in ``_radial_terms``, shared by ``is_gauge_tensor`` and
+``gauge_basis``.
 """
 
 from __future__ import annotations
@@ -39,9 +45,12 @@ class Space:
     signature: tuple
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if len(self.signature) != self.n or any(s not in (1, -1) for s in self.signature):
+        if (len(self.signature) != self.n
+                or any(type(s) is not int or s not in (1, -1) for s in self.signature)):
             raise ValueError("signature must be a tuple of +-1 of length n")
 
     @classmethod
@@ -51,8 +60,14 @@ class Space:
     def eps(self, i):
         return self.signature[i]
 
-    def inner(self, u, v):
-        return sum((s * a * b for s, a, b in zip(self.signature, u, v)), Fraction(0))
+
+def int_field(obj, name):
+    """The size field ``name`` of a JSON object, which must be an int:
+    JSON's 3.0 and true compare equal to ints but are not sizes."""
+    value = obj[name]
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def sym_indices(n, k):
@@ -133,12 +148,12 @@ class SymPairTensor(Sparse):
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
-        k = obj["k"]
+        k = int_field(obj, "k")
         comps = {}
         for entry in obj["components"]:
             sym, pair = tuple(entry["sym"]), tuple(entry["pair"])
             if (len(sym) != k or len(pair) != 2
-                    or any(not isinstance(i, int) or not 0 <= i < space.n for i in sym + pair)):
+                    or any(type(i) is not int or not 0 <= i < space.n for i in sym + pair)):
                 raise ValueError(f"bad component index sym={list(sym)} pair={list(pair)}")
             comps[(sym, pair)] = comps.get((sym, pair), 0) + parse_rational(entry["value"])
         return cls(space, k, comps)
@@ -179,40 +194,44 @@ def polarize(coeffs, n, degree):
     ``coeffs`` maps exponent tuples (summing to ``degree``) to values.
     Returns a dict on sorted index multisets such that evaluating the
     form on the diagonal recovers the polynomial: the multiset S gets
-    the coefficient of its content, scaled by prod(alpha!)/degree!.
+    the coefficient of its content over multiset_count(S), the number of
+    its arrangements.
     """
     out = {}
     for mono, c in coeffs.items():
         if sum(mono) != degree:
             raise ValueError("polynomial is not homogeneous of the stated degree")
-        scale = Fraction(1)
-        for e in mono:
-            scale *= factorial(e)
-        value = c * Fraction(scale, factorial(degree))
-        if value:
-            out[multiset_from_content(mono)] = value
+        if c:
+            ms = multiset_from_content(mono)
+            out[ms] = Fraction(c, multiset_count(ms))
     return out
+
+
+def _radial_terms(sym, pair):
+    """Where the component at (sym, pair) lands in h(v,...,v; v, e_i).
+
+    A list of ((alpha, i), weight), one for each order (j, i) of the pair:
+    the component adds weight times its value to the coefficient of the
+    monomial alpha = sorted(sym + (j,)) in entry i, and the weight
+    multiset_count(sym) counts the arrangements of sym.
+    """
+    weight = multiset_count(sym)
+    p, q = pair
+    orders = ((p, q),) if p == q else ((p, q), (q, p))
+    return [((tuple(sorted(sym + (j,))), i), weight) for j, i in orders]
 
 
 def is_gauge_tensor(h: SymPairTensor) -> bool:
     """True when h(v,...,v; v, .) vanishes identically.
 
-    Checked exactly: for every multiset alpha of size k+1 and every
-    index i, the polarized radial contraction must be zero.
+    Checked exactly: every stored component is scattered through
+    ``_radial_terms`` and each coefficient of the contraction must be 0.
     """
-    n = h.space.n
-    k = h.k
-    for alpha in sym_indices(n, k + 1):
-        for i in range(n):
-            total = Fraction(0)
-            for j in sorted(set(alpha)):
-                rest = list(alpha)
-                rest.remove(j)
-                rest = tuple(rest)
-                total += multiset_count(rest) * h.get(rest, (j, i))
-            if total:
-                return False
-    return True
+    totals = defaultdict(int)
+    for (sym, pair), value in h.coeffs.items():
+        for key, weight in _radial_terms(sym, pair):
+            totals[key] += weight * value
+    return not any(totals.values())
 
 
 def gauge_dim(n: int, k: int) -> int:
@@ -238,37 +257,19 @@ def _gauge_basis_cached(space: Space, k: int):
     n = space.n
     cols_by_content = defaultdict(list)
     for sym in sym_indices(n, k):
-        sc = content_of(sym, n)
         for pair in sym_indices(n, 2):
-            total = list(sc)
-            for i in pair:
-                total[i] += 1
-            cols_by_content[tuple(total)].append((sym, pair))
+            cols_by_content[content_of(sym + pair, n)].append((sym, pair))
 
     basis = []
     for cont in sorted(cols_by_content):
         cols = cols_by_content[cont]
-        col_index = {key: i for i, key in enumerate(cols)}
-        rows = []
-        for i in range(n):
-            if cont[i] == 0:
-                continue
-            alpha_content = list(cont)
-            alpha_content[i] -= 1
-            alpha = multiset_from_content(tuple(alpha_content))
-            if len(alpha) != k + 1:
-                raise AssertionError("content bookkeeping is off")
-            row = [Fraction(0)] * len(cols)
-            for j in sorted(set(alpha)):
-                rest = list(alpha)
-                rest.remove(j)
-                rest = tuple(rest)
-                key = (rest, tuple(sorted((j, i))))
-                row[col_index[key]] += multiset_count(rest)
-            rows.append(row)
-        if not rows:
-            continue
-        for vec in nullspace_basis(RatMatrix.from_rows(rows)):
+        # a row per coefficient of the contraction; the row order does not
+        # matter, as a row space has one reduced row echelon form
+        rows = defaultdict(lambda: [0] * len(cols))
+        for ci, (sym, pair) in enumerate(cols):
+            for key, weight in _radial_terms(sym, pair):
+                rows[key][ci] += weight
+        for vec in nullspace_basis(RatMatrix.from_rows(list(rows.values()))):
             comps = {cols[ci]: v for ci, v in enumerate(vec) if v}
             basis.append(SymPairTensor(space, k, comps))
     return tuple(basis)
@@ -350,11 +351,12 @@ class MultiTensor(Sparse):
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
-        res = cls(space, obj["arity"])
+        arity = int_field(obj, "arity")
+        res = cls(space, arity)
         for entry in obj["components"]:
             idx = tuple(entry["idx"])
-            if (len(idx) != obj["arity"]
-                    or any(not isinstance(i, int) or not 0 <= i < space.n for i in idx)):
+            if (len(idx) != arity
+                    or any(type(i) is not int or not 0 <= i < space.n for i in idx)):
                 raise ValueError(f"bad component index {idx}")
             res.set(idx, res.get(idx) + parse_rational(entry["value"]))
         return res
@@ -484,18 +486,30 @@ def pair_to_end(h: SymPairTensor) -> PolyEnd:
     return PolyEnd.diagonal(h.space, h.space.signature).mul(pair_matrix(h))
 
 
+def pair_average(space: Space, k: int, sums) -> SymPairTensor:
+    """The element of Sym^k tensor Sym^2 whose arrangements sum to ``sums``.
+
+    ``sums`` maps sorted keys (sym, pair) to a total over the distinct
+    arrangements of sym and of pair; the stored value is that total over
+    their number, multiset_count(sym), times 2 when the pair's two
+    indices differ.
+    """
+    return SymPairTensor(space, k, {
+        (sym, pair): Fraction(total, multiset_count(sym) * multiset_count(pair))
+        for (sym, pair), total in sums.items()})
+
+
 def end_to_pair(e: PolyEnd, k: int) -> SymPairTensor:
     """Inverse of pair_to_end for self-adjoint endomorphisms of degree k."""
-    space = e.space
-    comps = defaultdict(lambda: Fraction(0))
+    # eps_a times entry (a, b) is h(v,..,v; e_a, e_b), whose coefficient
+    # at a monomial sums h over the arrangements of its multiset
+    sums = defaultdict(int)
     for (a, b), p in e.coeffs.items():
+        eps = e.space.eps(a)
+        pair = (a, b) if a <= b else (b, a)
         for mono, c in p.coeffs.items():
-            sym = multiset_from_content(mono)
-            # undo the arrangement count and the eps factor, then
-            # average over the two pair orders for safety
-            value = Fraction(space.eps(a) * c, multiset_count(sym))
-            comps[(sym, tuple(sorted((a, b))))] += Fraction(value, 2) if a != b else value
-    return SymPairTensor(space, k, dict(comps))
+            sums[(multiset_from_content(mono), pair)] += eps * c
+    return pair_average(e.space, k, sums)
 
 
 @dataclass(frozen=True)

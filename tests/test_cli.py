@@ -224,17 +224,19 @@ COMMANDS = {"metric": ("jet", "roundtrip"), "jet": ("expand", "extend"),
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("bad", [5, -1])
-    @pytest.mark.parametrize("command", ["jet", "roundtrip", "expand"])
+    @pytest.mark.parametrize("bad", [5, -1, True])
+    @pytest.mark.parametrize("command", ["jet", "roundtrip", "expand", "extend"])
     def test_index_out_of_range(self, command, bad, tmp_path, capsys):
-        doc = copy.deepcopy(N2_DOCS["symjet" if command == "expand" else "metric"])
-        levels = doc["levels"] if command == "expand" else doc["parts"]
-        levels[0]["components"][0]["sym"][0] = bad
+        kind = {"expand": "symjet", "extend": "jet"}.get(command, "metric")
+        doc = copy.deepcopy(N2_DOCS[kind])
+        levels = doc["parts"] if kind == "metric" else doc["levels"]
+        component = levels[0]["components"][0]
+        component["idx" if kind == "jet" else "sym"][0] = bad
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
         code, _, err = run(capsys, command, str(f))
         assert code == 2
-        assert "error:" in err
+        assert "error:" in err and "bad component index" in err
 
     @pytest.mark.parametrize("command", ["jet", "roundtrip"])
     def test_non_gauge_metric_part(self, command, tmp_path, capsys):
@@ -245,6 +247,48 @@ class TestInputContract:
         code, _, err = run(capsys, command, str(f))
         assert code == 2
         assert "part of degree 2 is not a gauge tensor" in err
+
+
+# every field of each document kind that gives a size, as a path
+SIZE_FIELDS = {"jet": [("n",), ("order",), ("levels", 0, "arity")],
+               "symjet": [("n",), ("order",), ("levels", 0, "degree")],
+               "metric": [("n",), ("parts", 0, "degree")]}
+SIZE_CASES = [pytest.param(kind, path, command, id=f"{kind}-{path[-1]}-{command}")
+              for kind, paths in SIZE_FIELDS.items() for path in paths
+              for command in COMMANDS[kind]]
+
+
+class TestSizeFields:
+    """A size field that JSON gives as an integral float or a bool is
+    refused with exit 2 by every command that reads the document."""
+
+    @pytest.mark.parametrize("as_float", [True, False], ids=["float", "bool"])
+    @pytest.mark.parametrize("kind,path,command", SIZE_CASES)
+    def test_non_int_size_field(self, kind, path, command, as_float, tmp_path, capsys):
+        doc = copy.deepcopy(N2_DOCS[kind])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        # the float keeps the field's value, so only its type is wrong
+        parent[path[-1]] = float(parent[path[-1]]) if as_float else True
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, str(f))
+        assert code == 2
+        assert f"error: {f} is not a" in err
+        assert f"{path[-1]} must be an int" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("kind", sorted(N2_DOCS))
+    def test_non_int_signature_entry(self, kind, value, tmp_path, capsys):
+        doc = copy.deepcopy(N2_DOCS[kind])
+        doc["signature"][1] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, COMMANDS[kind][0], str(f))
+        assert code == 2
+        assert "signature must be a tuple of +-1" in err
 
 
 def _paths(node, path=()):
@@ -281,7 +325,7 @@ def malformed_documents(draw):
         else:
             parent[key].append(0)
     elif change == "type":
-        parent[key] = draw(st.sampled_from(["x", None, 1.5, True, [], {}]))
+        parent[key] = draw(st.sampled_from(["x", None, 1.5, 2.0, True, [], {}]))
     else:  # "missing", or "length" on a scalar
         del parent[key]
     return draw(st.sampled_from(COMMANDS[kind])), doc

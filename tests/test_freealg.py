@@ -24,6 +24,8 @@ from jetiso.freealg import (
     star,
     weighted_degree,
 )
+from jetiso.poly import Poly
+from jetiso.tensor import PolyEnd, Space
 
 F = Fraction
 
@@ -156,28 +158,22 @@ class TestEvaluate:
         assert val == expected
 
     def test_matrix_target_noncommutative(self):
-        # 2x2 matrices as lists of lists; order of factors must matter
-        def madd(a, b):
-            return [[a[i][j] + b[i][j] for j in range(2)] for i in range(2)]
+        # constant 2x2 matrices of series; the order of factors must matter
+        space = Space(2, (1, 1))
 
-        def mmul(a, b):
-            return [
-                [sum(a[i][t] * b[t][j] for t in range(2)) for j in range(2)]
-                for i in range(2)
-            ]
+        def const(entries):
+            return PolyEnd(space, {key: Poly.const(2, v) for key, v in entries.items()})
 
-        def mscale(c, a):
-            return [[c * a[i][j] for j in range(2)] for i in range(2)]
-
-        ident = [[F(1), F(0)], [F(0), F(1)]]
-        x2 = [[F(0), F(1)], [F(0), F(0)]]
-        x3 = [[F(0), F(0)], [F(1), F(0)]]
-        a = elem(((2, 3), 1))
-        b = elem(((3, 2), 1))
-        va = evaluate(a, {2: x2, 3: x3}, unit=ident, add=madd, mul=mmul, scale=mscale)
-        vb = evaluate(b, {2: x2, 3: x3}, unit=ident, add=madd, mul=mmul, scale=mscale)
-        assert va == [[F(1), F(0)], [F(0), F(0)]]
-        assert vb == [[F(0), F(0)], [F(0), F(1)]]
+        ident = PolyEnd.identity(space)
+        x2 = const({(0, 1): 1})
+        x3 = const({(1, 0): 1})
+        va = evaluate(elem(((2, 3), 1)), {2: x2, 3: x3}, unit=ident)
+        vb = evaluate(elem(((3, 2), 1)), {2: x2, 3: x3}, unit=ident)
+        assert va == const({(0, 0): 1})
+        assert vb == const({(1, 1): 1})
+        both = evaluate(elem(((), F(1, 2)), ((2, 3), 1), ((3, 2), -3)), {2: x2, 3: x3},
+                        unit=ident)
+        assert both == const({(0, 0): F(3, 2), (1, 1): F(-5, 2)})
 
     def test_missing_assignment(self):
         with pytest.raises(ValueError, match="X5"):
@@ -188,15 +184,29 @@ class TestEvaluate:
     def test_no_product_by_the_unit(self):
         products = []
 
-        def mul(x, y):
-            products.append((x, y))
-            return x * y
+        class Recorded:
+            """A number that records every product of two algebra elements;
+            the scalar action c * x is not recorded."""
+
+            def __init__(self, value):
+                self.value = F(value)
+
+            def __add__(self, other):
+                return Recorded(self.value + other.value)
+
+            def __mul__(self, other):
+                products.append((self.value, other.value))
+                return Recorded(self.value * other.value)
+
+            def __rmul__(self, c):
+                return Recorded(c * self.value)
 
         a = elem(((), 3), ((2,), 5), ((2, 3), 7), ((3, 3, 2), 1))
-        val = evaluate(a, {2: F(2), 3: F(-1, 3)}, unit=F(1), mul=mul)
-        assert val == 3 + 5 * 2 + 7 * 2 * F(-1, 3) + F(1, 9) * 2
+        val = evaluate(a, {2: Recorded(2), 3: Recorded(F(-1, 3))}, unit=Recorded(1))
+        assert val.value == 3 + 5 * 2 + 7 * 2 * F(-1, 3) + F(1, 9) * 2
         assert products == [(F(2), F(-1, 3)), (F(-1, 3), F(-1, 3)), (F(1, 9), F(2))]
-        assert evaluate(elem(((), 4)), {}, unit=F(1), mul=mul) == 4
+        assert evaluate(elem(((), 4)), {}, unit=Recorded(1)).value == 4
+        assert evaluate(FreeElement.zero(), {}, unit=Recorded(1)).value == 0
         assert len(products) == 3
 
 

@@ -27,6 +27,7 @@ from jetiso.jets import (
     _curvature_block_violations,
     _cyclic_sum,
     _integral_dilation,
+    _symmetrize_level,
     _worst_index,
     component_span_solve,
     derivation_apply,
@@ -59,6 +60,7 @@ from jetiso.tensor import (
     curvature_jet_dim_bound,
     is_gauge_tensor,
     random_signed_perm,
+    sym_indices,
     transform_pair_tensor,
 )
 
@@ -385,6 +387,54 @@ class TestSymmetrize:
             lhs = symmetrize_jet(transform_jet(jet, g))
             rhs = transform_symjet(symmetrize_jet(jet), g)
             assert all(a == b for a, b in zip(lhs.levels, rhs.levels))
+
+
+def reference_symmetrize_level(t, level):
+    """Total symmetrization gathered key by key: for every multiset and
+    pair, the average of t over the distinct arrangements of the multiset
+    and both orders of the pair."""
+    space = t.space
+    n = space.n
+    m = level + 2
+    comps = {}
+    for sym in sym_indices(n, m):
+        arrangements = sorted(set(itertools.permutations(sym)))
+        for pair in sym_indices(n, 2):
+            p, q = pair
+            total = 0
+            for arr in arrangements:
+                idx = arr[:level] + (p,) + arr[level:] + (q,)
+                idx_t = arr[:level] + (q,) + arr[level:] + (p,)
+                total += t.get(idx) + t.get(idx_t)
+            if total:
+                comps[(sym, pair)] = Fraction(total, 2 * len(arrangements))
+    return SymPairTensor(space, m, comps)
+
+
+SYMMETRIZE_SPACES = {"e2": (E2, 3), "l2": (Space(2, (-1, 1)), 3), "e3": (E3, 3), "l3": (L3, 3),
+                     "e4": (Space(4, (1, 1, 1, 1)), 2), "l4": (Space(4, (-1, 1, 1, 1)), 2)}
+
+
+class TestSymmetrizeReference:
+    """The scatter ``_symmetrize_level`` against the gather over
+    arrangements, on seeded valid jets and on the same jets with one
+    component of each level raised by 1/7, which are not symmetric."""
+
+    @pytest.mark.parametrize("bump", [None, F(1, 7)], ids=["valid", "bump1_7"])
+    @pytest.mark.parametrize("name", sorted(SYMMETRIZE_SPACES))
+    def test_scatter_matches_gather(self, name, bump):
+        space, order = SYMMETRIZE_SPACES[name]
+        seed = 80 + space.n + order
+        jet = jet_from_symjet(random_symjet(space, order, random.Random(seed)))
+        rng = random.Random(seed)
+        for level, t in enumerate(jet.levels):
+            if bump is not None:
+                idx = rng.choice(sorted(t.coeffs))
+                t.set(idx, t.get(idx) + bump)
+            got = _symmetrize_level(t, level)
+            assert got.to_json_obj() == reference_symmetrize_level(t, level).to_json_obj()
+            assert not got.is_zero()
+            assert is_gauge_tensor(got) == (bump is None), level
 
 
 class TestLinearTheory:

@@ -4,7 +4,9 @@ Polarization is checked against an independent finite-difference
 oracle; gauge dimensions against the closed-form count.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -12,6 +14,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetiso.metriclab import PolyMetric, check_normal_gauge
 from jetiso.poly import Poly
 from jetiso.tensor import (
     PolyEnd,
@@ -179,6 +182,35 @@ class TestGauge:
         assert len(basis) == gauge_dim(n, k)
         for h in basis:
             assert is_gauge_tensor(h)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("space", [E2, Space(2, (-1, 1)), E3, L3,
+                                       Space(4, (1, 1, 1, 1)), Space(4, (-1, 1, 1, 1))],
+                             ids=["e2", "l2", "e3", "l3", "e4", "l4"])
+    def test_scatter_matches_polynomial_route(self, space, k):
+        # the polynomial route: x^T pair_matrix(h) == 0
+        rng = random.Random(10 * space.n + k + space.signature[0])
+        keys = [(sym, pair) for sym in sym_indices(space.n, k)
+                for pair in sym_indices(space.n, 2)]
+        for _ in range(3):
+            h = SymPairTensor.zero(space, k)
+            for b in gauge_basis(space, k):
+                h = h + b.scaled(rng.randint(-3, 3))
+            off = h + SymPairTensor(space, k, {rng.choice(keys): F(rng.randint(1, 9), 7)})
+            for tensor, gauge in ((h, True), (off, False)):
+                assert is_gauge_tensor(tensor) == gauge
+                assert check_normal_gauge(PolyMetric(space, {k: tensor})) == gauge
+
+    def test_basis_digest(self):
+        # pinned: a change in which basis comes out shows here
+        h = hashlib.sha256()
+        for n in (2, 3, 4):
+            for signature in ((1,) * n, (-1,) + (1,) * (n - 1)):
+                space = Space(n, signature)
+                for k in (1, 2, 3, 4):
+                    for b in gauge_basis(space, k):
+                        h.update(json.dumps(b.to_json_obj(), sort_keys=True).encode())
+        assert h.hexdigest() == "e551dc72cc82216a3586e5a0066914f01b4fd427b51f54321805e57b4556e63d"
 
     def test_dim_bound_integrality(self):
         for n in (2, 3, 4, 5):
