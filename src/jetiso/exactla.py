@@ -1,7 +1,14 @@
 """Exact rational scalars and dense linear algebra over them.
 
-Scalars are ``fractions.Fraction``; the wire format is the plain
-``p/q`` (or ``p``) string that ``Fraction`` already parses and prints.
+Scalars are ``int`` or ``fractions.Fraction``; integral values are
+ints, so arithmetic on them never builds a ``Fraction``.  The wire format
+is the plain ``p/q`` (or ``p``) string that ``Fraction`` already parses
+and prints; ``parse_rational`` reads the common forms ``-?digits`` and
+``-?digits/digits`` without ``Fraction``'s regular expression and hands
+anything else to ``Fraction``, so the accepted literals are exactly
+``Fraction``'s.  ``exact_quotient`` is the division that keeps an
+integral quotient an int.
+
 Matrices are small and dense.  Reduction is classical Gauss-Jordan with
 exact pivots, which is plenty here because every large system in the
 package is split into tiny blocks before it reaches this module.
@@ -23,16 +30,46 @@ def rational(value) -> Fraction:
     raise ValueError(f"not an exact rational: {value!r}")
 
 
-def parse_rational(text: str) -> Fraction:
+def _normalized(value: Fraction):
+    """value, as an int when it is integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_quotient(num, den: int):
+    """num / den for a positive int den: an int when that is integral."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    return _normalized(Fraction(num, den))
+
+
+def parse_rational(text):
+    """The exact value of a wire-format scalar: a ``p/q`` string or an int.
+
+    Integral values come back as ints.  Floats and bools are refused:
+    JSON's 0.1 is not one tenth, and true is not a number.
+    """
+    if type(text) is int:
+        return text
+    if type(text) is not str:
+        raise ValueError(f"not an exact rational: {text!r}")
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit():
+        if not slash:
+            return int(num)
+        if den.isascii() and den.isdigit() and (d := int(den)):
+            return exact_quotient(int(num), d)
     try:
-        return Fraction(text)
+        return _normalized(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal: {text!r}") from exc
 
 
 def format_rational(value) -> str:
     """Render as ``p/q``, or ``p`` when the denominator is one."""
-    return str(Fraction(value))
+    return str(value if type(value) in (int, Fraction) else Fraction(value))
 
 
 class RatMatrix:

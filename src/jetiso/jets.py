@@ -19,6 +19,9 @@ These identities are weighted-homogeneous: the dilation x -> t x scales
 T_l by t^(l+2), and each identity at level l keeps weight l+2.  A jet is
 therefore valid exactly when its dilation is, and ``validate_jet`` checks
 the dilation by the least common denominator, whose entries are ints.
+Symmetrization is linear and level-wise, so ``symmetrize_jet`` sums the
+same dilation in ints and divides each stored value once, by its number
+of arrangements times t^(l+2).
 
 Linear jet components are the jets of the special form (0, ..., 0, T);
 for those the derivative slots are fully symmetric and the only other
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .exactla import RatMatrix, format_rational, nullspace_basis, solve_affine
+from .exactla import RatMatrix, exact_quotient, format_rational, nullspace_basis, solve_affine
 from .poly import _dilate_integral
 from .tensor import (
     MultiTensor,
@@ -61,7 +64,7 @@ class Violation:
     identity: str
     slots: tuple
     at: tuple
-    value: Fraction
+    value: int | Fraction
     nonzero: int
 
     def __str__(self):
@@ -331,7 +334,11 @@ def validate_jet(jet: "CurvatureJet"):
     Each identity has weight l+2 at level l, the weight of T_l under the
     dilation x -> t x (the Ricci defect pairs levels r and l-2-r), so the
     checks run on the integral dilation and each ``value`` is scaled back."""
-    scale, jet = _integral_dilation(jet)
+    return _dilation_violations(*_integral_dilation(jet))
+
+
+def _dilation_violations(scale, jet: "CurvatureJet"):
+    """``validate_jet`` of the jet whose dilation by ``scale`` is ``jet``."""
     out = []
     for level, t in enumerate(jet.levels):
         out.extend(_curvature_block_violations(t, level))
@@ -345,12 +352,11 @@ def validate_jet(jet: "CurvatureJet"):
             if not defect.is_zero():
                 out.append(Violation(level, "ricci", (i, i + 1), *_worst_index(defect)))
     for v in out:
-        v.value = Fraction(v.value, scale ** (v.level + 2))
+        v.value = exact_quotient(v.value, scale ** (v.level + 2))
     return out
 
 
-def _require_valid(jet: "CurvatureJet"):
-    violations = validate_jet(jet)
+def _require_valid(violations):
     if violations:
         raise ValueError("invalid jet: " + "; ".join(str(v) for v in violations))
 
@@ -375,8 +381,9 @@ def validate_linear_component(c: LinearJetComponent):
 # symmetrization and reconstruction
 
 
-def _symmetrize_level(t: MultiTensor, level: int) -> SymPairTensor:
-    """Total symmetrization of a jet level into Sym^(l+2) tensor Sym^2.
+def _symmetrize_level(t: MultiTensor, level: int, scale: int = 1) -> SymPairTensor:
+    """Total symmetrization of a jet level into Sym^(l+2) tensor Sym^2,
+    divided by ``scale``.
 
     The symmetric slots collect the derivative slots plus curvature
     slots 2 and 3; the pair keeps curvature slots 1 and 4.  Each stored
@@ -388,15 +395,19 @@ def _symmetrize_level(t: MultiTensor, level: int) -> SymPairTensor:
         p, q = idx[level], idx[level + 3]
         sym = tuple(sorted(idx[:level] + idx[level + 1:level + 3]))
         sums[(sym, (p, q) if p <= q else (q, p))] += v
-    return pair_average(t.space, level + 2, sums)
+    return pair_average(t.space, level + 2, sums, scale)
 
 
 def symmetrize_jet(jet: CurvatureJet, validate: bool = True) -> SymJet:
-    """Symmetrized jet; raises on an invalid input jet."""
+    """Symmetrized jet; raises on an invalid input jet.
+
+    Runs on the integral dilation by t: level l is summed in ints and
+    divided by t^(l+2) in ``pair_average``'s one division per value."""
+    scale, dilated = _integral_dilation(jet)
     if validate:
-        _require_valid(jet)
-    return SymJet(jet.space,
-                  [_symmetrize_level(t, l) for l, t in enumerate(jet.levels)])
+        _require_valid(_dilation_violations(scale, dilated))
+    return SymJet(jet.space, [_symmetrize_level(t, l, scale ** (l + 2))
+                              for l, t in enumerate(dilated.levels)])
 
 
 def symmetrize_component(c: LinearJetComponent) -> SymPairTensor:
@@ -685,7 +696,7 @@ def extend_jet(jet: CurvatureJet, validate: bool = True) -> CurvatureJet:
     zero; the lower levels are kept as they are.
     """
     if validate:
-        _require_valid(jet)
+        _require_valid(validate_jet(jet))
     return _extend(jet, SymPairTensor.zero(jet.space, jet.order + 3))
 
 

@@ -15,8 +15,10 @@ dilated by t, twice the least common denominator of its parts, the
 series are computed in integer arithmetic, and each jet level is divided
 by t**(l+2) once at the end; the 2 in t makes every part of degree d
 divisible by 2**d, so the Christoffel symbols g^{-1} L / 2 stay integral.
-The synthesis dilates the symmetrized jet the same way and divides the
-degree-d part by t**d.
+The synthesis dilates the symmetrized jet the same way, checks the gauge
+condition on the integer arrangement sums of each degree-d part, and
+divides each sum once, folding t**d into ``tensor.pair_average``'s
+division.  Every quotient is an int where it is integral.
 
 This module is the analytic counterpart of :mod:`jetiso.jets`: jets of
 actual metrics provide the reference values that the algebraic side
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .exactla import exact_quotient
 from .freealg import evaluate, q_poly, qtilde_poly
 from .jets import CurvatureJet, SymJet
 from .poly import Poly, _dilate_integral, _graded, _graded_mul_into
@@ -40,12 +43,14 @@ from .tensor import (
     PolyEnd,
     Space,
     SymPairTensor,
-    end_to_pair,
+    end_pair_sums,
     gauge_basis,
     int_field,
     is_gauge_tensor,
+    pair_average,
     pair_matrix,
     pair_to_end,
+    sums_are_gauge,
 )
 
 
@@ -188,17 +193,9 @@ def christoffel_series(g: PolyMetric, trunc: int) -> list:
                     if inv is not None and low:
                         acc = acc + inv.mul(low, trunc)
                 if acc:
-                    entry = acc._with({m: _halved(c) for m, c in acc.coeffs.items()})
+                    entry = acc._with({m: exact_quotient(c, 2) for m, c in acc.coeffs.items()})
                     gamma[j][(i, k)] = gamma[k][(i, j)] = entry
     return [PolyEnd(space, entries) for entries in gamma]
-
-
-def _halved(c):
-    """c / 2, an int when that is integral."""
-    if type(c) is int and not c & 1:
-        return c >> 1
-    half = Fraction(c, 2)
-    return half.numerator if half.denominator == 1 else half
 
 
 def check_normal_gauge(g: PolyMetric) -> bool:
@@ -336,7 +333,7 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
         for idx, p in cur.items():
             c = p.constant_term()
             if c:
-                c = Fraction(c, scale)
+                c = exact_quotient(c, scale)
                 for image, sign in _sign_images(idx):
                     tensor.set(image, sign * c)
         levels.append(tensor)
@@ -362,18 +359,22 @@ def metric_from_symjet(s: SymJet) -> PolyMetric:
     degree d evaluated on the curvature operators of the jet, divided
     by d!.  The jet is dilated into ints first (level l by t**(l+2)) and
     q_poly(d) is cleared of denominators by m; q_poly(d) has weight d, so
-    the degree-d part is divided by m * d! * t**d once, at the end.
+    the degree-d part's integer arrangement sums are checked against the
+    gauge condition (raising ``GaugeError``) and divided by m * d! * t**d
+    in ``pair_average``, once each.
     """
     space = s.space
     t, levels = _dilate_integral([(l + 2, h) for l, h in enumerate(s.levels)])
     operators = _curvature_operators(levels)
     unit = PolyEnd.identity(space)
-    parts = []
+    parts = {}
     for degree in range(2, s.order + 3):
         m, (q,) = _dilate_integral([(1, q_poly(degree))])
-        part = end_to_pair(evaluate(q, operators, unit=unit), degree)
-        parts.append(part.scaled(Fraction(1, m * factorial(degree) * t ** degree)))
-    return make_normal_metric(space, parts)
+        sums = end_pair_sums(evaluate(q, operators, unit=unit))
+        if not sums_are_gauge(sums):
+            raise GaugeError(degree)
+        parts[degree] = pair_average(space, degree, sums, m * factorial(degree) * t ** degree)
+    return PolyMetric(space, parts)
 
 
 def transport_polynomial(s: SymJet, trunc: int) -> PolyEnd:

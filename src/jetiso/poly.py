@@ -19,8 +19,12 @@ factors on every call; a caller that multiplies the same series many
 times (the covariant-derivative step in ``metriclab``) grades each once.
 
 ``_dilate_integral`` scales weighted linear combinations by t**weight so
-that every value becomes an ``int``; the jet, series and metric code use
-it to run on integers and scale back once at the end.
+that every value becomes an ``int``; validation, symmetrization, the
+series route and the metric synthesis use it to run on integers and
+divide once at the end, through ``exactla.exact_quotient`` (inside
+``tensor.pair_average`` for the maps into Sym^k tensor Sym^2, whose one
+division per value also takes out the number of arrangements), so an
+integral result stays an ``int``.
 """
 
 from __future__ import annotations

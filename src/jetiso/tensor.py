@@ -18,8 +18,10 @@ defining linear system into blocks with fixed index content, and
 
 Maps into Sym^k tensor Sym^2 scatter the stored components: the
 multiset weight lives in ``pair_average``, which turns sums over
-arrangements into stored values, and the gauge condition's
-coefficients in ``_radial_terms``, shared by ``is_gauge_tensor`` and
+arrangements into stored values with one exact division each (by the
+number of arrangements times a caller's scale, so an integer dilation is
+undone in the same step), and the gauge condition's keys in
+``_radial_keys``, shared by ``is_gauge_tensor``, ``sums_are_gauge`` and
 ``gauge_basis``.
 """
 
@@ -33,7 +35,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
 
-from .exactla import RatMatrix, format_rational, nullspace_basis, parse_rational
+from .exactla import RatMatrix, exact_quotient, format_rational, nullspace_basis, parse_rational
 from .poly import Poly, Sparse
 
 
@@ -68,6 +70,29 @@ def int_field(obj, name):
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     return value
+
+
+def _all_indices(tuples, length, n):
+    """True when every tuple holds ``length`` ints in range(n).
+
+    JSON's true and 1.0 equal the int 1, so the types are checked apart
+    from the values."""
+    flat = list(itertools.chain.from_iterable(tuples))
+    return (set(map(len, tuples)) <= {length} and set(map(type, flat)) <= {int}
+            and frozenset(range(n)).issuperset(flat))
+
+
+def _summed_values(keys, entries):
+    """The parsed ``value`` of each entry summed on its key, zeros dropped;
+    a key is added to only when it repeats."""
+    out = {}
+    for key, entry in zip(keys, entries):
+        value = parse_rational(entry["value"])
+        if key in out:
+            out[key] += value
+        else:
+            out[key] = value
+    return {key: v for key, v in out.items() if v}
 
 
 def sym_indices(n, k):
@@ -148,15 +173,18 @@ class SymPairTensor(Sparse):
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
+        n = space.n
         k = int_field(obj, "k")
-        comps = {}
-        for entry in obj["components"]:
-            sym, pair = tuple(entry["sym"]), tuple(entry["pair"])
-            if (len(sym) != k or len(pair) != 2
-                    or any(type(i) is not int or not 0 <= i < space.n for i in sym + pair)):
-                raise ValueError(f"bad component index sym={list(sym)} pair={list(pair)}")
-            comps[(sym, pair)] = comps.get((sym, pair), 0) + parse_rational(entry["value"])
-        return cls(space, k, comps)
+        entries = obj["components"]
+        syms = [tuple(entry["sym"]) for entry in entries]
+        pairs = [tuple(entry["pair"]) for entry in entries]
+        if not (_all_indices(syms, k, n) and _all_indices(pairs, 2, n)):
+            sym, pair = next((sym, pair) for sym, pair in zip(syms, pairs)
+                             if not (_all_indices([sym], k, n) and _all_indices([pair], 2, n)))
+            raise ValueError(f"bad component index sym={list(sym)} pair={list(pair)}")
+        keys = [(tuple(sorted(sym)), (p, q) if p <= q else (q, p))
+                for sym, (p, q) in zip(syms, pairs)]
+        return cls(space, k)._with(_summed_values(keys, entries))
 
     def __repr__(self):
         return f"SymPairTensor(n={self.space.n}, k={self.k}, nnz={len(self.coeffs)})"
@@ -207,30 +235,49 @@ def polarize(coeffs, n, degree):
     return out
 
 
-def _radial_terms(sym, pair):
+def _radial_keys(sym, pair):
     """Where the component at (sym, pair) lands in h(v,...,v; v, e_i).
 
-    A list of ((alpha, i), weight), one for each order (j, i) of the pair:
-    the component adds weight times its value to the coefficient of the
-    monomial alpha = sorted(sym + (j,)) in entry i, and the weight
-    multiset_count(sym) counts the arrangements of sym.
+    A list of (alpha, i), one for each order (j, i) of the pair: the
+    component adds multiset_count(sym) (the arrangements of sym) times
+    its value to the coefficient of the monomial alpha = sorted(sym + (j,))
+    in entry i.
     """
-    weight = multiset_count(sym)
     p, q = pair
     orders = ((p, q),) if p == q else ((p, q), (q, p))
-    return [((tuple(sorted(sym + (j,))), i), weight) for j, i in orders]
+    return [(tuple(sorted(sym + (j,))), i) for j, i in orders]
 
 
 def is_gauge_tensor(h: SymPairTensor) -> bool:
     """True when h(v,...,v; v, .) vanishes identically.
 
     Checked exactly: every stored component is scattered through
-    ``_radial_terms`` and each coefficient of the contraction must be 0.
+    ``_radial_keys`` and each coefficient of the contraction must be 0.
     """
     totals = defaultdict(int)
     for (sym, pair), value in h.coeffs.items():
-        for key, weight in _radial_terms(sym, pair):
-            totals[key] += weight * value
+        weighted = multiset_count(sym) * value
+        for key in _radial_keys(sym, pair):
+            totals[key] += weighted
+    return not any(totals.values())
+
+
+def sums_are_gauge(sums) -> bool:
+    """``is_gauge_tensor(pair_average(space, k, sums, scale))``, read off the sums.
+
+    The stored value at (sym, pair) is its total over multiset_count(sym)
+    times multiset_count(pair) times scale, and it lands on the keys of
+    ``_radial_keys`` weighted by multiset_count(sym); so 2 * scale times
+    each coefficient of the contraction sums the totals landing there,
+    doubled for a pair of equal indices (one order, multiset_count 1).
+    The check runs in the totals' own arithmetic, before any division.
+    """
+    totals = defaultdict(int)
+    for (sym, pair), total in sums.items():
+        keys = _radial_keys(sym, pair)
+        weighted = total if len(keys) == 2 else 2 * total
+        for key in keys:
+            totals[key] += weighted
     return not any(totals.values())
 
 
@@ -267,7 +314,8 @@ def _gauge_basis_cached(space: Space, k: int):
         # matter, as a row space has one reduced row echelon form
         rows = defaultdict(lambda: [0] * len(cols))
         for ci, (sym, pair) in enumerate(cols):
-            for key, weight in _radial_terms(sym, pair):
+            weight = multiset_count(sym)
+            for key in _radial_keys(sym, pair):
                 rows[key][ci] += weight
         for vec in nullspace_basis(RatMatrix.from_rows(list(rows.values()))):
             comps = {cols[ci]: v for ci, v in enumerate(vec) if v}
@@ -352,14 +400,12 @@ class MultiTensor(Sparse):
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
         arity = int_field(obj, "arity")
-        res = cls(space, arity)
-        for entry in obj["components"]:
-            idx = tuple(entry["idx"])
-            if (len(idx) != arity
-                    or any(type(i) is not int or not 0 <= i < space.n for i in idx)):
-                raise ValueError(f"bad component index {idx}")
-            res.set(idx, res.get(idx) + parse_rational(entry["value"]))
-        return res
+        entries = obj["components"]
+        keys = [tuple(entry["idx"]) for entry in entries]
+        if not _all_indices(keys, arity, space.n):
+            idx = next(idx for idx in keys if not _all_indices([idx], arity, space.n))
+            raise ValueError(f"bad component index {idx}")
+        return cls(space, arity)._with(_summed_values(keys, entries))
 
     def __repr__(self):
         return f"MultiTensor(n={self.space.n}, arity={self.arity}, nnz={len(self.coeffs)})"
@@ -486,30 +532,38 @@ def pair_to_end(h: SymPairTensor) -> PolyEnd:
     return PolyEnd.diagonal(h.space, h.space.signature).mul(pair_matrix(h))
 
 
-def pair_average(space: Space, k: int, sums) -> SymPairTensor:
-    """The element of Sym^k tensor Sym^2 whose arrangements sum to ``sums``.
+def pair_average(space: Space, k: int, sums, scale: int = 1) -> SymPairTensor:
+    """The element of Sym^k tensor Sym^2 whose arrangements sum to ``sums``,
+    divided by ``scale``.
 
     ``sums`` maps sorted keys (sym, pair) to a total over the distinct
     arrangements of sym and of pair; the stored value is that total over
     their number, multiset_count(sym), times 2 when the pair's two
-    indices differ.
+    indices differ, times the positive int ``scale``.  That is one exact
+    division per key, and its quotient is an int where it is integral.
     """
-    return SymPairTensor(space, k, {
-        (sym, pair): Fraction(total, multiset_count(sym) * multiset_count(pair))
-        for (sym, pair), total in sums.items()})
+    return SymPairTensor(space, k)._with({
+        (sym, pair): exact_quotient(total, multiset_count(sym) * multiset_count(pair) * scale)
+        for (sym, pair), total in sums.items() if total})
 
 
-def end_to_pair(e: PolyEnd, k: int) -> SymPairTensor:
-    """Inverse of pair_to_end for self-adjoint endomorphisms of degree k."""
-    # eps_a times entry (a, b) is h(v,..,v; e_a, e_b), whose coefficient
-    # at a monomial sums h over the arrangements of its multiset
+def end_pair_sums(e: PolyEnd):
+    """The arrangement sums of the pair form of a self-adjoint e, for
+    ``pair_average``: eps_a times entry (a, b) is h(v,..,v; e_a, e_b),
+    whose coefficient at a monomial sums h over the arrangements of its
+    multiset, and both orders of a pair add to its sorted key."""
     sums = defaultdict(int)
     for (a, b), p in e.coeffs.items():
         eps = e.space.eps(a)
         pair = (a, b) if a <= b else (b, a)
         for mono, c in p.coeffs.items():
             sums[(multiset_from_content(mono), pair)] += eps * c
-    return pair_average(e.space, k, sums)
+    return sums
+
+
+def end_to_pair(e: PolyEnd, k: int) -> SymPairTensor:
+    """Inverse of pair_to_end for self-adjoint endomorphisms of degree k."""
+    return pair_average(e.space, k, end_pair_sums(e))
 
 
 @dataclass(frozen=True)

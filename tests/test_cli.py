@@ -238,6 +238,55 @@ class TestInputContract:
         assert code == 2
         assert "error:" in err and "bad component index" in err
 
+    @pytest.mark.parametrize("value", [True, 0.1, 1.0], ids=["bool", "float", "integral-float"])
+    @pytest.mark.parametrize("kind,command", [(kind, command) for kind in sorted(COMMANDS)
+                                              for command in COMMANDS[kind]])
+    def test_inexact_value(self, kind, command, value, tmp_path, capsys):
+        # JSON's 0.1 is not one tenth and true is not a number: a value
+        # must be a rational string or an int
+        doc = copy.deepcopy(N2_DOCS[kind])
+        levels = doc["parts"] if kind == "metric" else doc["levels"]
+        levels[0]["components"][-1]["value"] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert f"error: {f} is not a" in err
+        assert f"not an exact rational: {value!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(COMMANDS))
+    def test_int_values_read_as_strings(self, kind, tmp_path, capsys):
+        doc = copy.deepcopy(N2_DOCS[kind])
+        converted = 0
+        for level in doc["parts"] if kind == "metric" else doc["levels"]:
+            for component in level["components"]:
+                if "/" not in component["value"]:
+                    component["value"] = int(component["value"])
+                    converted += 1
+        assert converted
+        outputs = []
+        for name, obj in (("strings.json", N2_DOCS[kind]), ("ints.json", doc)):
+            f = tmp_path / name
+            f.write_text(json.dumps(obj))
+            code, out, _ = run(capsys, COMMANDS[kind][0], str(f))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != ""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_non_gauge_symjet_level(self, level, tmp_path, capsys):
+        # the symjet loader takes any Sym^(l+2) tensor Sym^2 level; the
+        # synthesis rejects the metric part it generates, of degree l + 2
+        doc = copy.deepcopy(N2_DOCS["symjet"])
+        doc["levels"][level]["components"].append(
+            {"sym": [0] * (level + 2), "pair": [0, 0], "value": "1"})
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "expand", str(f))
+        assert code == 2 and out == ""
+        assert f"error: part of degree {level + 2} is not a gauge tensor" in err
+
     @pytest.mark.parametrize("command", ["jet", "roundtrip"])
     def test_non_gauge_metric_part(self, command, tmp_path, capsys):
         doc = {"n": 2, "signature": [1, 1], "parts": [

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from jetiso.exactla import (
     RatMatrix,
+    exact_quotient,
     format_rational,
     mat_vec,
     nullspace_basis,
@@ -152,3 +153,42 @@ class TestScalars:
             parse_rational("1/0")
         with pytest.raises(ValueError):
             parse_rational("two")
+
+    # the fast path reads -?digits and -?digits/digits; everything else
+    # must parse exactly as Fraction parses it
+    @pytest.mark.parametrize("text", [" 3 ", "+3", "1_0", "1.5", "1e2", "\u0663", "-0",
+                                      "0/5", "6/3", "-4/6", "007/014", "-12",
+                                      "1/\u0663\u0663"])
+    def test_parse_agrees_with_fraction(self, text):
+        value = parse_rational(text)
+        expected = Fraction(text)
+        assert value == expected
+        assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize("text", ["1/0", "3/-4", "", "/", "1/", "--1", "-", "1/00",
+                                      "1//2", "\u00b2"])
+    def test_bad_literal_is_a_value_error(self, text):
+        # never ZeroDivisionError or AttributeError
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("value", [True, False, 0.1, 2.0, None, [1], Fraction(1, 2)])
+    def test_only_strings_and_ints(self, value):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            parse_rational(value)
+
+    def test_int_passes_through(self):
+        assert parse_rational(-7) == -7 and type(parse_rational(-7)) is int
+
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6))
+    def test_round_trip_keeps_ints_integral(self, p, q):
+        value = parse_rational(format_rational(Fraction(p, q)))
+        assert value == Fraction(p, q)
+        assert (type(value) is int) == (p % q == 0)
+        assert type(value) in (int, Fraction)
+
+    @given(st.one_of(st.integers(-1000, 1000), rationals), st.integers(1, 60))
+    def test_exact_quotient(self, num, den):
+        value = exact_quotient(num, den)
+        assert value == Fraction(num) / den
+        assert (type(value) is int) == ((Fraction(num) / den).denominator == 1)

@@ -6,6 +6,7 @@ and the classical closed-form expansion of the constant-curvature
 metric, whose tangential profile is sin^2(sqrt(k) r)/(k r^2).
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -49,6 +50,7 @@ from jetiso.tensor import (
     multiset_count,
     pair_to_end,
 )
+from test_jets import reference_symmetrize_level
 
 F = Fraction
 
@@ -465,6 +467,65 @@ class TestIntegralSeries:
         g = metric_from_symjet(s)
         assert g == reference_metric_from_symjet(s)
         assert g.to_json_obj() == reference_metric_from_symjet(s).to_json_obj()
+
+
+def exact_scalars(values):
+    """Every value is an int or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
+
+
+POLICY_SPACES = {"e3": (E3, 3), "l3": (L3, 3), "e4": (Space(4, (1, 1, 1, 1)), 2), "l4": (L4, 2)}
+POLICY_DILATIONS = (F(1, 2), F(2, 3), F(3, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def policy_jet(name):
+    space, order = POLICY_SPACES[name]
+    g = random_normal_metric(space, order + 2, random.Random(f"policy:{name}"))
+    return curvature_jet_at_origin(g, order)
+
+
+class TestScalarPolicy:
+    """The expand pipeline stores each value as an int, or as a Fraction
+    only when it is not integral, from the loaders through symmetrization
+    and metric synthesis, and still agrees with the gather and undilated
+    oracles."""
+
+    @pytest.mark.parametrize("t", POLICY_DILATIONS,
+                             ids=[f"t{t.numerator}_{t.denominator}" for t in POLICY_DILATIONS])
+    @pytest.mark.parametrize("name", sorted(POLICY_SPACES))
+    def test_values_and_oracles(self, name, t):
+        base = policy_jet(name)
+        dilated = CurvatureJet(base.space, [lv.scaled(t ** (l + 2))
+                                            for l, lv in enumerate(base.levels)])
+        jet = CurvatureJet.from_json_obj(json.loads(json.dumps(dilated.to_json_obj())))
+        assert jet == dilated
+        values = [v for lv in jet.levels for v in lv.coeffs.values()]
+        assert exact_scalars(values) and any(type(v) is Fraction for v in values)
+
+        s = symmetrize_jet(jet)
+        for level, (h, lv) in enumerate(zip(s.levels, jet.levels)):
+            assert exact_scalars(h.coeffs.values()), level
+            assert h.to_json_obj() == reference_symmetrize_level(lv, level).to_json_obj()
+        loaded = SymJet.from_json_obj(json.loads(json.dumps(s.to_json_obj())))
+        assert loaded == s
+        assert all(exact_scalars(h.coeffs.values()) for h in loaded.levels)
+
+        g = metric_from_symjet(s)
+        assert all(exact_scalars(h.coeffs.values()) for h in g.parts.values())
+        assert g.to_json_obj() == reference_metric_from_symjet(s).to_json_obj()
+        loaded = PolyMetric.from_json_obj(json.loads(json.dumps(g.to_json_obj())))
+        assert loaded == g
+        assert all(exact_scalars(h.coeffs.values()) for h in loaded.parts.values())
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_non_gauge_level_raises(self, level):
+        s = random_symjet(L3, 2, random.Random(level))
+        h = s.levels[level]
+        s.levels[level] = h + SymPairTensor(L3, h.k, {((0,) * h.k, (0, 0)): F(1, 3)})
+        with pytest.raises(GaugeError) as info:
+            metric_from_symjet(s)
+        assert info.value.degree == level + 2
 
 
 class TestMetricFromSymjet:

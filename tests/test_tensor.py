@@ -23,6 +23,7 @@ from jetiso.tensor import (
     SymPairTensor,
     content_of,
     curvature_jet_dim_bound,
+    end_pair_sums,
     end_to_pair,
     eval_pair,
     gauge_basis,
@@ -31,9 +32,11 @@ from jetiso.tensor import (
     kulkarni,
     multiset_count,
     multiset_from_content,
+    pair_average,
     pair_to_end,
     polarize,
     random_signed_perm,
+    sums_are_gauge,
     sym_indices,
     transform_pair_tensor,
 )
@@ -200,6 +203,13 @@ class TestGauge:
             for tensor, gauge in ((h, True), (off, False)):
                 assert is_gauge_tensor(tensor) == gauge
                 assert check_normal_gauge(PolyMetric(space, {k: tensor})) == gauge
+                # the same check on arrangement sums, before pair_average divides
+                sums = end_pair_sums(pair_to_end(tensor))
+                assert sums_are_gauge(sums) == gauge
+                assert pair_average(space, k, sums) == tensor
+                scaled = {key: 6 * v for key, v in sums.items()}
+                assert sums_are_gauge(scaled) == gauge
+                assert pair_average(space, k, scaled, 6) == tensor
 
     def test_basis_digest(self):
         # pinned: a change in which basis comes out shows here
