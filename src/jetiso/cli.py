@@ -12,10 +12,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
+from .exactla import parse_rational
 from .freealg import q_poly, qtilde_poly
-from .jets import CurvatureJet, SymJet, jet_from_symjet, symmetrize_jet, validate_jet
+from .jets import CurvatureJet, InvalidJetError, SymJet, jet_from_symjet, symmetrize_jet
 from .jets import extend_jet as _extend_jet
 from .metriclab import (
     PolyMetric,
@@ -60,8 +60,6 @@ def _load_jet_like(path):
         if levels and "arity" in levels[0]:
             return CurvatureJet.from_json_obj(obj)
         return SymJet.from_json_obj(obj)
-    except InputError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"{path} is not a jet file: {exc}") from exc
 
@@ -122,15 +120,7 @@ def cmd_expand(args):
     loaded = _load_jet_like(args.file)
     if args.order is not None and args.order < 0:
         raise InputError("need order >= 0")
-    if isinstance(loaded, CurvatureJet):
-        violations = validate_jet(loaded)
-        if violations:
-            for v in violations:
-                print(str(v), file=sys.stderr)
-            return 1
-        s = symmetrize_jet(loaded, validate=False)
-    else:
-        s = loaded
+    s = symmetrize_jet(loaded) if isinstance(loaded, CurvatureJet) else loaded
     max_degree = s.order + 2
     order = args.order if args.order is not None else max_degree
     if order > max_degree:
@@ -174,13 +164,7 @@ def cmd_extend(args):
     loaded = _load_jet_like(args.file)
     if not isinstance(loaded, CurvatureJet):
         raise InputError("extend expects a curvature jet file")
-    violations = validate_jet(loaded)
-    if violations:
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        return 1
-    extended = _extend_jet(loaded, validate=False)
-    _dump_json(extended.to_json_obj(), args.out)
+    _dump_json(_extend_jet(loaded).to_json_obj(), args.out)
     return 0
 
 
@@ -213,8 +197,8 @@ def cmd_example(args):
     signature = _parse_signature(args.signature, n) if args.signature else (1,) * n
     space = Space(n, signature)
     try:
-        kappa = Fraction(args.kappa)
-    except (ValueError, ZeroDivisionError) as exc:
+        kappa = parse_rational(args.kappa)
+    except ValueError as exc:
         raise InputError(f"bad curvature value {args.kappa!r}") from exc
     s = const_curvature_symjet(space, kappa, args.order)
     g = metric_from_symjet(s)
@@ -299,6 +283,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidJetError as exc:
+        for v in exc.violations:
+            print(str(v), file=sys.stderr)
+        return 1
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,9 +5,11 @@ ints, so arithmetic on them never builds a ``Fraction``.  The wire format
 is the plain ``p/q`` (or ``p``) string that ``Fraction`` already parses
 and prints; ``parse_rational`` reads the common forms ``-?digits`` and
 ``-?digits/digits`` without ``Fraction``'s regular expression and hands
-anything else to ``Fraction``, so the accepted literals are exactly
-``Fraction``'s.  ``exact_quotient`` is the division that keeps an
-integral quotient an int.
+anything else to ``Fraction``, so the accepted literals are ``Fraction``'s,
+less those whose numerator or denominator would pass ``MAX_DIGITS``
+digits: those are counted from the text and refused before any power of
+ten is built.  ``exact_quotient`` is the division that keeps an integral
+quotient an int.
 
 Matrices are small and dense.  Reduction is classical Gauss-Jordan with
 exact pivots, which is plenty here because every large system in the
@@ -18,16 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
-
-def rational(value) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise ValueError(f"not an exact rational: {value!r}")
+# CPython's default int-to-string digit limit
+MAX_DIGITS = 4300
 
 
 def _normalized(value: Fraction):
@@ -62,9 +56,22 @@ def parse_rational(text):
         if den.isascii() and den.isdigit() and (d := int(den)):
             return exact_quotient(int(num), d)
     try:
+        if "/" not in text and _written_digits(text) > MAX_DIGITS:
+            raise ValueError(f"more than {MAX_DIGITS} digits")
         return _normalized(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal: {text!r}") from exc
+
+
+def _written_digits(text):
+    """Digits of the longer of the numerator and denominator of a decimal
+    literal, counted from its mantissa and exponent without building either."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(map(str.isdecimal, mantissa))
+    places = sum(map(str.isdecimal, mantissa.partition(".")[2]))
+    # the value is int(mantissa digits) * 10**shift
+    shift = (int(exponent) if exponent else 0) - places
+    return digits + shift if shift >= 0 else max(digits, 1 - shift)
 
 
 def format_rational(value) -> str:

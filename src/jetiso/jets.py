@@ -25,10 +25,11 @@ of arrangements times t^(l+2).
 
 Linear jet components are the jets of the special form (0, ..., 0, T);
 for those the derivative slots are fully symmetric and the only other
-constraints are the Bianchi identities.  They are reconstructed from
-their total symmetrization by a Kulkarni-Nomizu product, and the
-Young symmetrizer of hook shape acts on them by an explicit integer
-eigenvalue.
+constraints are the Bianchi identities, which ``validate_jet`` checks on
+that jet (its Ricci right sides read only the zero lower levels).  They
+are reconstructed from their total symmetrization by a Kulkarni-Nomizu
+product, and the Young symmetrizer of hook shape acts on them by an
+explicit integer eigenvalue.
 """
 
 from __future__ import annotations
@@ -81,17 +82,25 @@ def _worst_index(defect: MultiTensor):
     return at, value, len(defect.coeffs)
 
 
-class CurvatureJet:
-    """Levels T_0..T_k; level l is an (l+4)-linear tensor."""
+class Jet:
+    """Levels 0..k over one space: level l is a ``level_type`` of size
+    l + ``offset``, written under ``size_field`` through the level type's
+    component codec (``components_json`` and ``from_components``)."""
 
     __slots__ = ("space", "levels")
 
     def __init__(self, space, levels):
         self.space = space
         for l, t in enumerate(levels):
-            if t.arity != l + 4 or t.space != space:
-                raise ValueError(f"level {l} has arity {t.arity}, expected {l + 4}")
+            if not isinstance(t, self.level_type) or t.space != space:
+                raise ValueError(f"level {l} is not a {self.level_type.__name__} over {space}")
+            self._check_size(l, t._shape()[1])
         self.levels = list(levels)
+
+    @classmethod
+    def _check_size(cls, l, size):
+        if size != l + cls.offset:
+            raise ValueError(f"level {l} has {cls.size_field} {size}, expected {l + cls.offset}")
 
     @property
     def order(self):
@@ -99,17 +108,16 @@ class CurvatureJet:
 
     @classmethod
     def zero(cls, space, order):
-        return cls(space, [MultiTensor.zero(space, l + 4) for l in range(order + 1)])
+        return cls(space, [cls.level_type.zero(space, l + cls.offset) for l in range(order + 1)])
 
     def truncated(self, order):
         if order > self.order:
             raise ValueError("cannot truncate upward")
-        return CurvatureJet(self.space, self.levels[:order + 1])
+        return type(self)(self.space, self.levels[:order + 1])
 
     def __eq__(self, other):
-        return (isinstance(other, CurvatureJet) and self.space == other.space
-                and len(self.levels) == len(other.levels)
-                and all(a == b for a, b in zip(self.levels, other.levels)))
+        return (type(other) is type(self) and self.space == other.space
+                and self.levels == other.levels)
 
     def to_json_obj(self):
         return {
@@ -117,8 +125,8 @@ class CurvatureJet:
             "signature": list(self.space.signature),
             "order": self.order,
             "levels": [
-                {"arity": t.arity, "components": t.to_json_obj()["components"]}
-                for t in self.levels
+                {self.size_field: l + self.offset, "components": t.components_json()}
+                for l, t in enumerate(self.levels)
             ],
         }
 
@@ -128,76 +136,33 @@ class CurvatureJet:
         order = int_field(obj, "order")
         levels = []
         for l, lv in enumerate(obj["levels"]):
-            arity = int_field(lv, "arity")
-            if arity != l + 4:
-                raise ValueError(f"level {l} has arity {arity}, expected {l + 4}")
-            levels.append(MultiTensor.from_json_obj({
-                "n": obj["n"], "signature": obj["signature"],
-                "arity": arity, "components": lv["components"],
-            }))
+            size = int_field(lv, cls.size_field)
+            cls._check_size(l, size)
+            levels.append(cls.level_type.from_components(space, size, lv["components"]))
         if len(levels) != order + 1:
             raise ValueError("order does not match the number of levels")
         return cls(space, levels)
 
     def __repr__(self):
-        return f"CurvatureJet(n={self.space.n}, order={self.order})"
+        return f"{type(self).__name__}(n={self.space.n}, order={self.order})"
 
 
-class SymJet:
+class CurvatureJet(Jet):
+    """Levels T_0..T_k; level l is an (l+4)-linear tensor."""
+
+    __slots__ = ()
+    level_type = MultiTensor
+    size_field = "arity"
+    offset = 4
+
+
+class SymJet(Jet):
     """Symmetrized jet: level l is an element of Sym^(l+2) tensor Sym^2."""
 
-    __slots__ = ("space", "levels")
-
-    def __init__(self, space, levels):
-        self.space = space
-        for l, s in enumerate(levels):
-            if s.k != l + 2 or s.space != space:
-                raise ValueError(f"level {l} has degree {s.k}, expected {l + 2}")
-        self.levels = list(levels)
-
-    @property
-    def order(self):
-        return len(self.levels) - 1
-
-    @classmethod
-    def zero(cls, space, order):
-        return cls(space, [SymPairTensor.zero(space, l + 2) for l in range(order + 1)])
-
-    def __eq__(self, other):
-        return (isinstance(other, SymJet) and self.space == other.space
-                and len(self.levels) == len(other.levels)
-                and all(a == b for a, b in zip(self.levels, other.levels)))
-
-    def to_json_obj(self):
-        return {
-            "n": self.space.n,
-            "signature": list(self.space.signature),
-            "order": self.order,
-            "levels": [
-                {"degree": s.k, "components": s.to_json_obj()["components"]}
-                for s in self.levels
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        space = Space(obj["n"], tuple(obj["signature"]))
-        order = int_field(obj, "order")
-        levels = []
-        for l, lv in enumerate(obj["levels"]):
-            degree = int_field(lv, "degree")
-            if degree != l + 2:
-                raise ValueError(f"level {l} has degree {degree}, expected {l + 2}")
-            levels.append(SymPairTensor.from_json_obj({
-                "n": obj["n"], "signature": obj["signature"],
-                "k": degree, "components": lv["components"],
-            }))
-        if len(levels) != order + 1:
-            raise ValueError("order does not match the number of levels")
-        return cls(space, levels)
-
-    def __repr__(self):
-        return f"SymJet(n={self.space.n}, order={self.order})"
+    __slots__ = ()
+    level_type = SymPairTensor
+    size_field = "degree"
+    offset = 2
 
 
 @dataclass
@@ -230,25 +195,19 @@ def _curvature_block_violations(t: MultiTensor, level: int):
     """Symmetry checks on the last four slots, derivative slots frozen."""
     k = t.arity - 4
     out = []
-
-    def check(defect, identity, slots):
-        if not defect.is_zero():
-            out.append(Violation(level, identity, slots, *_worst_index(defect)))
-
-    check(t + t.swapped(k, k + 1), "antisymmetry", (k + 1, k + 2))
-    check(t + t.swapped(k + 2, k + 3), "antisymmetry", (k + 3, k + 4))
+    _check(out, level, "antisymmetry", (k + 1, k + 2), t + t.swapped(k, k + 1))
+    _check(out, level, "antisymmetry", (k + 3, k + 4), t + t.swapped(k + 2, k + 3))
     sigma = list(range(t.arity))
     sigma[k], sigma[k + 1], sigma[k + 2], sigma[k + 3] = sigma[k + 2], sigma[k + 3], sigma[k], sigma[k + 1]
-    check(t - t.permuted(sigma), "pair_symmetry", (k + 1, k + 3))
-    check(_cyclic_sum(t, k), "bianchi1", (k + 1, k + 2, k + 3))
+    _check(out, level, "pair_symmetry", (k + 1, k + 3), t - t.permuted(sigma))
+    _check(out, level, "bianchi1", (k + 1, k + 2, k + 3), _cyclic_sum(t, k))
     return out
 
 
-def validate_curvature(t: MultiTensor):
-    """Violations of the algebraic curvature symmetries of a 4-tensor."""
-    if t.arity != 4:
-        raise ValueError("curvature tensors have four slots")
-    return _curvature_block_violations(t, 0)
+def _check(out, level, identity, slots, defect):
+    """Append the violation of ``identity`` to ``out`` when ``defect`` is nonzero."""
+    if defect:
+        out.append(Violation(level, identity, slots, *_worst_index(defect)))
 
 
 def derivation_apply(form: MultiTensor, target: MultiTensor, frozen: int = 0) -> MultiTensor:
@@ -343,38 +302,25 @@ def _dilation_violations(scale, jet: "CurvatureJet"):
     for level, t in enumerate(jet.levels):
         out.extend(_curvature_block_violations(t, level))
         if level >= 1:
-            defect = _cyclic_sum(t, level - 1)
-            if not defect.is_zero():
-                out.append(Violation(level, "bianchi2", (level, level + 1, level + 2),
-                                     *_worst_index(defect)))
+            _check(out, level, "bianchi2", (level, level + 1, level + 2), _cyclic_sum(t, level - 1))
         for i in range(1, level):
-            defect = ricci_defect(jet, level, i)
-            if not defect.is_zero():
-                out.append(Violation(level, "ricci", (i, i + 1), *_worst_index(defect)))
+            _check(out, level, "ricci", (i, i + 1), ricci_defect(jet, level, i))
     for v in out:
         v.value = exact_quotient(v.value, scale ** (v.level + 2))
     return out
 
 
+class InvalidJetError(ValueError):
+    """A jet failed validation; ``violations`` holds every failed identity."""
+
+    def __init__(self, violations):
+        self.violations = violations
+        super().__init__("invalid jet: " + "; ".join(str(v) for v in violations))
+
+
 def _require_valid(violations):
     if violations:
-        raise ValueError("invalid jet: " + "; ".join(str(v) for v in violations))
-
-
-def validate_linear_component(c: LinearJetComponent):
-    """Violations for a linear jet component (0,...,0,T)."""
-    t = c.tensor
-    k = c.k
-    out = _curvature_block_violations(t, k)
-    for i in range(k - 1):
-        defect = t - t.swapped(i, i + 1)
-        if not defect.is_zero():
-            out.append(Violation(k, "ricci", (i + 1, i + 2), *_worst_index(defect)))
-    if k >= 1:
-        defect = _cyclic_sum(t, k - 1)
-        if not defect.is_zero():
-            out.append(Violation(k, "bianchi2", (k, k + 1, k + 2), *_worst_index(defect)))
-    return out
+        raise InvalidJetError(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +345,7 @@ def _symmetrize_level(t: MultiTensor, level: int, scale: int = 1) -> SymPairTens
 
 
 def symmetrize_jet(jet: CurvatureJet, validate: bool = True) -> SymJet:
-    """Symmetrized jet; raises on an invalid input jet.
+    """Symmetrized jet; raises ``InvalidJetError`` on an invalid input jet.
 
     Runs on the integral dilation by t: level l is summed in ints and
     divided by t^(l+2) in ``pair_average``'s one division per value."""
@@ -689,14 +635,14 @@ def jet_from_symjet(s: SymJet) -> CurvatureJet:
     return jet
 
 
-def extend_jet(jet: CurvatureJet, validate: bool = True) -> CurvatureJet:
-    """Extend a valid jet by one order.
+def extend_jet(jet: CurvatureJet) -> CurvatureJet:
+    """Extend a valid jet by one order; raises ``InvalidJetError`` on an
+    invalid one.
 
     The canonical extension is the one whose new level symmetrizes to
     zero; the lower levels are kept as they are.
     """
-    if validate:
-        _require_valid(validate_jet(jet))
+    _require_valid(validate_jet(jet))
     return _extend(jet, SymPairTensor.zero(jet.space, jet.order + 3))
 
 

@@ -97,7 +97,7 @@ class PolyMetric:
             "n": self.space.n,
             "signature": list(self.space.signature),
             "parts": [
-                {"degree": d, "components": self.parts[d].to_json_obj()["components"]}
+                {"degree": d, "components": self.parts[d].components_json()}
                 for d in sorted(self.parts)
             ],
         }
@@ -106,10 +106,7 @@ class PolyMetric:
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
         return make_normal_metric(space, [
-            SymPairTensor.from_json_obj({
-                "n": obj["n"], "signature": obj["signature"],
-                "k": int_field(entry, "degree"), "components": entry["components"],
-            })
+            SymPairTensor.from_components(space, int_field(entry, "degree"), entry["components"])
             for entry in obj["parts"]
         ])
 
@@ -171,8 +168,9 @@ def christoffel_series(g: PolyMetric, trunc: int) -> list:
     """Connection matrices Gamma_j with (Gamma_j)[i, k] = Gamma^i_{jk}.
 
     Gamma^i_{jk} = sum_l g^{il} L_jk[l] / 2, where
-    L_jk[l] = d_j g_lk + d_k g_jl - d_l g_jk is symmetric in (j, k); each
-    entry is computed for j <= k and mirrored.  The halving is exact and
+    L_jk[l] = d_j g_lk + d_k g_jl - d_l g_jk is symmetric in (j, k), so
+    Gamma_j = g^{-1} L_j / 2, where L_j has entries (l, k) = L_jk[l], is
+    formed on the columns k >= j and mirrored.  The halving is exact and
     leaves an integral coefficient an int.
     """
     space = g.space
@@ -180,21 +178,13 @@ def christoffel_series(g: PolyMetric, trunc: int) -> list:
     ginv = inverse_series(g, trunc)
     metric = metric_form_series(g, trunc + 1)
     dg = [metric.diff(a) for a in range(n)]
-    zero = Poly.zero(n)
     gamma = [{} for _ in range(n)]
     for j in range(n):
-        for k in range(j, n):
-            lowered = [dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
-                       for l in range(n)]
-            for i in range(n):
-                acc = zero
-                for l, low in enumerate(lowered):
-                    inv = ginv.coeffs.get((i, l))
-                    if inv is not None and low:
-                        acc = acc + inv.mul(low, trunc)
-                if acc:
-                    entry = acc._with({m: exact_quotient(c, 2) for m, c in acc.coeffs.items()})
-                    gamma[j][(i, k)] = gamma[k][(i, j)] = entry
+        lowered = PolyEnd(space, {(l, k): dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
+                                  for l in range(n) for k in range(j, n)})
+        for (i, k), p in ginv.mul(lowered, trunc).coeffs.items():
+            entry = p._with({m: exact_quotient(c, 2) for m, c in p.coeffs.items()})
+            gamma[j][(i, k)] = gamma[k][(i, j)] = entry
     return [PolyEnd(space, entries) for entries in gamma]
 
 

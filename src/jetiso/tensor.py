@@ -1,7 +1,8 @@
 """Exact multilinear algebra over a pseudo-Euclidean space.
 
 The space is R^n with a diagonal inner product of signs +-1.  Two tensor
-containers cover everything the package needs:
+containers, each a ``Tensor`` (one JSON document over its component
+codec), cover everything the package needs:
 
 * ``SymPairTensor``: an element of Sym^k V* tensor Sym^2 V*, stored
   sparsely on multiset keys.  These hold Taylor coefficients of metrics
@@ -36,7 +37,7 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .exactla import RatMatrix, exact_quotient, format_rational, nullspace_basis, parse_rational
-from .poly import Poly, Sparse
+from .poly import Poly, Sparse, _graded, _graded_mul_into
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,38 @@ def multiset_from_content(content):
     return tuple(out)
 
 
-class SymPairTensor(Sparse):
+class Tensor(Sparse):
+    """A sparse tensor over a ``Space`` with one size, its ``size_field``; a
+    subclass gives the component codec (``components_json`` and
+    ``from_components(space, size, entries)``) that every document uses."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, space, size):
+        return cls(space, size)
+
+    def to_json_obj(self):
+        space, size = self._shape()
+        return {
+            "n": space.n,
+            "signature": list(space.signature),
+            self.size_field: size,
+            "components": self.components_json(),
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        return cls.from_components(Space(obj["n"], tuple(obj["signature"])),
+                                   int_field(obj, cls.size_field), obj["components"])
+
+    def __repr__(self):
+        space, size = self._shape()
+        nnz = len(self.coeffs)
+        return f"{type(self).__name__}(n={space.n}, {self.size_field}={size}, nnz={nnz})"
+
+
+class SymPairTensor(Tensor):
     """Element of Sym^k V* tensor Sym^2 V*, sparse on multiset keys.
 
     Keys are pairs (sym, pair) of sorted index tuples; the value is the
@@ -138,6 +170,7 @@ class SymPairTensor(Sparse):
     """
 
     __slots__ = ("space", "k")
+    size_field = "k"
 
     def __init__(self, space, k, comps=None):
         self.space = space
@@ -151,31 +184,19 @@ class SymPairTensor(Sparse):
                 out[key] = out.get(key, 0) + value
         self.coeffs = {key: v for key, v in out.items() if v}
 
-    @classmethod
-    def zero(cls, space, k):
-        return cls(space, k)
-
     def get(self, sym, pair):
         key = (tuple(sorted(sym)), tuple(sorted(pair)))
         return self.coeffs.get(key, Fraction(0))
 
-    def to_json_obj(self):
-        return {
-            "n": self.space.n,
-            "signature": list(self.space.signature),
-            "k": self.k,
-            "components": [
-                {"sym": list(sym), "pair": list(pair), "value": format_rational(v)}
-                for (sym, pair), v in self.sorted_terms()
-            ],
-        }
+    def components_json(self):
+        return [{"sym": list(sym), "pair": list(pair), "value": format_rational(v)}
+                for (sym, pair), v in self.sorted_terms()]
 
     @classmethod
-    def from_json_obj(cls, obj):
-        space = Space(obj["n"], tuple(obj["signature"]))
+    def from_components(cls, space, k, entries):
+        """The tensor of degree k whose ``components_json`` is ``entries``;
+        components on the same key add up."""
         n = space.n
-        k = int_field(obj, "k")
-        entries = obj["components"]
         syms = [tuple(entry["sym"]) for entry in entries]
         pairs = [tuple(entry["pair"]) for entry in entries]
         if not (_all_indices(syms, k, n) and _all_indices(pairs, 2, n)):
@@ -185,9 +206,6 @@ class SymPairTensor(Sparse):
         keys = [(tuple(sorted(sym)), (p, q) if p <= q else (q, p))
                 for sym, (p, q) in zip(syms, pairs)]
         return cls(space, k)._with(_summed_values(keys, entries))
-
-    def __repr__(self):
-        return f"SymPairTensor(n={self.space.n}, k={self.k}, nnz={len(self.coeffs)})"
 
 
 def eval_pair(h: SymPairTensor, xs, y, z) -> Fraction:
@@ -338,7 +356,7 @@ dim_N = gauge_dim
 dim_C_lower = curvature_jet_dim_bound
 
 
-class MultiTensor(Sparse):
+class MultiTensor(Tensor):
     """m-linear form over the space, sparse on full index tuples.
 
     ``get`` reads a missing component as 0 and ``set`` of a zero
@@ -346,15 +364,12 @@ class MultiTensor(Sparse):
     """
 
     __slots__ = ("space", "arity")
+    size_field = "arity"
 
     def __init__(self, space, arity, comps=None):
         self.space = space
         self.arity = arity
         self.coeffs = {idx: v for idx, v in (comps or {}).items() if v}
-
-    @classmethod
-    def zero(cls, space, arity):
-        return cls(space, arity)
 
     def get(self, idx):
         return self.coeffs.get(idx, 0)
@@ -385,30 +400,18 @@ class MultiTensor(Sparse):
         sigma[s1], sigma[s2] = sigma[s2], sigma[s1]
         return self.permuted(sigma)
 
-    def to_json_obj(self):
-        return {
-            "n": self.space.n,
-            "signature": list(self.space.signature),
-            "arity": self.arity,
-            "components": [
-                {"idx": list(idx), "value": format_rational(v)}
-                for idx, v in self.sorted_terms()
-            ],
-        }
+    def components_json(self):
+        return [{"idx": list(idx), "value": format_rational(v)} for idx, v in self.sorted_terms()]
 
     @classmethod
-    def from_json_obj(cls, obj):
-        space = Space(obj["n"], tuple(obj["signature"]))
-        arity = int_field(obj, "arity")
-        entries = obj["components"]
+    def from_components(cls, space, arity, entries):
+        """The tensor of this arity whose ``components_json`` is ``entries``;
+        components on the same index add up."""
         keys = [tuple(entry["idx"]) for entry in entries]
         if not _all_indices(keys, arity, space.n):
             idx = next(idx for idx in keys if not _all_indices([idx], arity, space.n))
             raise ValueError(f"bad component index {idx}")
         return cls(space, arity)._with(_summed_values(keys, entries))
-
-    def __repr__(self):
-        return f"MultiTensor(n={self.space.n}, arity={self.arity}, nnz={len(self.coeffs)})"
 
 
 def kulkarni(h: SymPairTensor):
@@ -486,22 +489,21 @@ class PolyEnd(Sparse):
         return self._map(lambda p: p.times_variable(i))
 
     def mul(self, other, trunc=None):
-        """Composition self(other(v)), dropping degrees above ``trunc``."""
+        """Composition self(other(v)), dropping degrees above ``trunc``.
+
+        Each entry is graded by degree once, and each output entry
+        accumulates its products in one dict (``poly._graded_mul_into``).
+        """
         rows = defaultdict(list)
         for (m, j), q in other.coeffs.items():
-            rows[m].append((j, q))
-        out = {}
+            rows[m].append((j, _graded(q.coeffs, trunc)))
+        out = defaultdict(dict)
         for (i, m), p in self.coeffs.items():
+            graded = _graded(p.coeffs, trunc)
             for j, q in rows.get(m, ()):
-                prod = p.mul(q, trunc)
-                key = (i, j)
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return self._with(out)
+                _graded_mul_into(out[(i, j)], graded, q, trunc)
+        zero = Poly.zero(self.space.n)
+        return self._with({key: zero._with(coeffs) for key, coeffs in out.items() if coeffs})
 
     def __mul__(self, other):
         if not isinstance(other, PolyEnd):

@@ -233,7 +233,7 @@ def suite_extension(n: int, max_k: int, seed: int = 0, trials: int = 2):
         for _ in range(trials):
             s = random_symjet(space, k, rng)
             jet = jet_from_symjet(s)
-            ext = extend_jet(jet, validate=False)
+            ext = extend_jet(jet)
             if ext.truncated(k) != jet:
                 ok = False
                 detail = "extension does not restrict to the input"

@@ -4,14 +4,16 @@ Exit code contract: 0 success, 1 failed verification, 2 bad input.
 """
 
 import copy
+import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetiso.cli import main
-from jetiso.jets import symmetrize_jet
+from jetiso.jets import CurvatureJet, symmetrize_jet, validate_jet
 from jetiso.metriclab import (
     PolyMetric,
     curvature_jet_at_origin,
@@ -180,6 +182,19 @@ class TestExpandErrors:
         assert code == 1
         assert "identity=" in err
 
+    @pytest.mark.parametrize("command", ["expand", "extend"])
+    def test_invalid_jet_prints_each_violation(self, command, example_dir, tmp_path, capsys):
+        obj = json.loads((example_dir / "jet.json").read_text())
+        obj["levels"][0]["components"][0]["value"] = "1/7"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        violations = validate_jet(CurvatureJet.from_json_obj(obj))
+        assert len(violations) > 1
+        out_file = tmp_path / "out.json"
+        code, out, err = run(capsys, command, str(bad), "-o", str(out_file))
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err == "".join(f"{v}\n" for v in violations)
+
     def test_malformed_json(self, tmp_path, capsys):
         f = tmp_path / "x.json"
         f.write_text("{ not json")
@@ -254,6 +269,26 @@ class TestInputContract:
         assert f"error: {f} is not a" in err
         assert f"not an exact rational: {value!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,command", [(kind, command) for kind in sorted(COMMANDS)
+                                              for command in COMMANDS[kind]])
+    def test_huge_exponent_refused_at_once(self, kind, command, tmp_path, capsys):
+        # 10**999999999 would take minutes to build; the literal is refused unread
+        doc = copy.deepcopy(N2_DOCS[kind])
+        levels = doc["parts"] if kind == "metric" else doc["levels"]
+        levels[0]["components"][-1]["value"] = "1e-999999999"
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(f))
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert "bad rational literal: '1e-999999999'" in err
+        assert "Traceback" not in err
+
+    def test_huge_exponent_kappa_refused(self, tmp_path, capsys):
+        code, _, err = run(capsys, "example", "--kappa", "1e999999999", "--out", str(tmp_path))
+        assert code == 2 and "error: bad curvature value '1e999999999'" in err
 
     @pytest.mark.parametrize("kind", sorted(COMMANDS))
     def test_int_values_read_as_strings(self, kind, tmp_path, capsys):
@@ -433,3 +468,20 @@ class TestDeterminism:
             assert code == 0
         for name in ("symjet.json", "jet.json", "metric.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_pinned_documents(self, tmp_path, capsys):
+        # the bytes of every document the CLI writes for these inputs
+        h = hashlib.sha256()
+        for signature in ("+++", "-++"):
+            out = tmp_path / signature
+            code, _, _ = run(capsys, "example", "--kappa", "2/3", "-n", "3",
+                             f"--signature={signature}", "--order", "2", "--out", str(out))
+            assert code == 0
+            for name in ("symjet.json", "jet.json", "metric.json"):
+                h.update((out / name).read_bytes())
+            for argv in (("jet", "metric.json"), ("expand", "jet.json"),
+                         ("expand", "symjet.json"), ("extend", "jet.json")):
+                code, text, err = run(capsys, argv[0], str(out / argv[1]))
+                assert code == 0 and err == ""
+                h.update(text.encode())
+        assert h.hexdigest() == "51610c9bd35c9dc301f4328c44cf22a29f93d373bfacfbe8ae78b1a52705e86e"

@@ -5,6 +5,7 @@ over the integers, written before the tests and kept frozen.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,25 @@ class TestScalars:
         # never ZeroDivisionError or AttributeError
         with pytest.raises(ValueError, match="bad rational literal"):
             parse_rational(text)
+
+    # MAX_DIGITS = 4300: the numerator or denominator a literal writes out,
+    # counted from its mantissa digits and exponent, may have that many digits
+    @pytest.mark.parametrize("text,value", [
+        ("1e4299", 10 ** 4299), ("1e-4299", Fraction(1, 10 ** 4299)),
+        ("12.5e4298", 125 * 10 ** 4297), ("-0.5e-4298", Fraction(-1, 2 * 10 ** 4298)),
+        ("9" * 4299 + ".5", Fraction(10 ** 4300 - 5, 10)),
+    ])
+    def test_digit_limit_reached(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "12.5e4299", "-0.5e-4299",
+                                      "9" * 4300 + ".5", "1e-999999999", "1E999999999",
+                                      "1e" + "9" * 5000])
+    def test_digit_limit_passed(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("value", [True, False, 0.1, 2.0, None, [1], Fraction(1, 2)])
     def test_only_strings_and_ints(self, value):

@@ -20,6 +20,7 @@ import pytest
 
 from jetiso.jets import (
     CurvatureJet,
+    InvalidJetError,
     LinearJetComponent,
     MultiTensor,
     SymJet,
@@ -42,9 +43,7 @@ from jetiso.jets import (
     transform_jet,
     transform_multi_tensor,
     transform_symjet,
-    validate_curvature,
     validate_jet,
-    validate_linear_component,
     young_symmetrize,
 )
 from jetiso.metriclab import (
@@ -125,6 +124,32 @@ def reference_ricci_defect(jet, level, i):
                             total -= space.eps(m) * a * u_level.get(new)
         rhs.set(idx, total)
     return lhs - rhs
+
+
+def padded_jet(c):
+    """The jet (0, ..., 0, T) of a linear jet component."""
+    return CurvatureJet(c.space, CurvatureJet.zero(c.space, c.k - 1).levels + [c.tensor])
+
+
+def reference_linear_violations(t, k):
+    """The identities of the jet (0, ..., 0, t) read off t alone: the
+    curvature block, the plain exchange of adjacent derivative slots (the
+    Ricci right side is built from the zero lower levels) and the cyclic
+    second Bianchi sum."""
+    out = _curvature_block_violations(t, k)
+    for i in range(k - 1):
+        defect = t - t.swapped(i, i + 1)
+        if not defect.is_zero():
+            out.append(Violation(k, "ricci", (i + 1, i + 2), *_worst_index(defect)))
+    if k >= 1:
+        defect = _cyclic_sum(t, k - 1)
+        if not defect.is_zero():
+            out.append(Violation(k, "bianchi2", (k, k + 1, k + 2), *_worst_index(defect)))
+    return out
+
+
+def by_identity(violations):
+    return sorted(violations, key=lambda v: (v.level, v.identity, v.slots))
 
 
 class TestMultiTensor:
@@ -224,10 +249,6 @@ class TestValidation:
             break
         assert validate_jet(jet) == []
 
-    def test_validate_curvature_wrong_arity(self):
-        with pytest.raises(ValueError):
-            validate_curvature(MultiTensor.zero(E2, 3))
-
     def test_ricci_defect_vanishes_on_oracles(self):
         for space in (E2, L3):
             jet = oracle_jet(space, 3, seed=7)
@@ -260,6 +281,46 @@ class TestValidation:
                 for rest in itertools.product(range(n), repeat=4):
                     lhs = t2.get((x1, x2) + rest) - t2.get((x2, x1) + rest)
                     assert lhs == rhs.get(rest)
+
+
+class TestLinearComponentValidation:
+    """``validate_jet`` on the jet (0, ..., 0, T) of a linear component
+    reports what ``reference_linear_violations`` reads off T."""
+
+    def test_wrong_arity(self):
+        with pytest.raises(ValueError, match="level 0 has arity 3, expected 4"):
+            CurvatureJet(E2, [MultiTensor.zero(E2, 3)])
+        with pytest.raises(ValueError, match="level 1 has arity 4, expected 5"):
+            CurvatureJet(E2, [MultiTensor.zero(E2, 4), MultiTensor.zero(E2, 4)])
+
+    @pytest.mark.parametrize("identity", ["antisymmetry", "pair_symmetry", "bianchi1",
+                                          "bianchi2", "ricci"])
+    def test_each_identity_reported(self, identity):
+        # the first unit bump of a basis element, in index order, that breaks it
+        b = linear_jet_basis(E3, 2)[0]
+        for idx in b.tensor.iter_indices():
+            t = b.tensor + MultiTensor(E3, 6, {idx: 1})
+            want = reference_linear_violations(t, 2)
+            if identity in {v.identity for v in want}:
+                break
+        got = validate_jet(padded_jet(LinearJetComponent(E3, 2, t)))
+        assert identity in {v.identity for v in got}
+        assert by_identity(got) == by_identity(want)
+
+    @pytest.mark.parametrize("space", [E2, Space(2, (-1, 1)), E3, L3],
+                             ids=["e2", "l2", "e3", "l3"])
+    def test_matches_reference_on_perturbed_components(self, space):
+        rng = random.Random(space.n * 10 + space.signature[0])
+        for k in (0, 1, 2):
+            basis = linear_jet_basis(space, k)
+            for _ in range(4):
+                t = rng.choice(basis).tensor
+                for _ in range(rng.randint(1, 3)):
+                    idx = tuple(rng.randrange(space.n) for _ in range(k + 4))
+                    value = F(rng.randint(-3, 3), rng.randint(1, 3))
+                    t = t + MultiTensor(space, k + 4, {idx: value})
+                got = validate_jet(padded_jet(LinearJetComponent(space, k, t)))
+                assert by_identity(got) == by_identity(reference_linear_violations(t, k))
 
 
 class TestRicciReference:
@@ -447,7 +508,7 @@ class TestLinearTheory:
     def test_basis_elements_validate(self):
         for k in (0, 1, 2):
             for b in linear_jet_basis(E2, k):
-                assert validate_linear_component(b) == []
+                assert validate_jet(padded_jet(b)) == []
 
     @pytest.mark.parametrize("space", [E2, E3, L3], ids=["e2", "e3", "l3"])
     def test_reconstruction_identity(self, space):
@@ -524,6 +585,17 @@ class TestExtension:
             diff = own.levels[order + 1] - ext.levels[order + 1]
             basis = linear_jet_basis(space, order + 1)
             assert component_span_solve(diff, basis) is not None
+
+    def test_invalid_jet_raises_with_its_violations(self):
+        jet = oracle_jet(E2, 1, seed=3)
+        jet.levels[0].set((0, 0, 0, 1), 1)
+        violations = validate_jet(jet)
+        assert violations
+        for call in (extend_jet, symmetrize_jet):
+            with pytest.raises(InvalidJetError) as info:
+                call(jet)
+            assert info.value.violations == violations
+            assert str(info.value) == "invalid jet: " + "; ".join(map(str, violations))
 
     def test_extension_restricts_to_truncation(self):
         jet = oracle_jet(E2, 2, seed=29)
@@ -632,3 +704,34 @@ class TestJetContainers:
     def test_linear_component_arity_checked(self):
         with pytest.raises(ValueError):
             LinearJetComponent(E2, 1, MultiTensor.zero(E2, 4))
+
+    def test_jet_kinds_never_equal(self):
+        assert CurvatureJet(E2, []) != SymJet(E2, [])
+        assert SymJet(E2, []) != CurvatureJet(E2, [])
+        assert CurvatureJet.zero(E2, 1) != SymJet.zero(E2, 1)
+        assert CurvatureJet(E2, []) == CurvatureJet(E2, [])
+
+    def test_level_type_checked(self):
+        with pytest.raises(ValueError, match="level 0 is not a MultiTensor"):
+            CurvatureJet(E2, [SymPairTensor.zero(E2, 4)])
+        with pytest.raises(ValueError, match="level 0 is not a SymPairTensor"):
+            SymJet(E2, [SymPairTensor.zero(E3, 2)])
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("jet", lambda d: d["levels"][1].update(arity=4), "level 1 has arity 4, expected 5"),
+        ("symjet", lambda d: d["levels"][1].update(degree=2), "level 1 has degree 2, expected 3"),
+        ("jet", lambda d: d.update(order=2), "order does not match the number of levels"),
+        ("symjet", lambda d: d.update(order=0), "order does not match the number of levels"),
+        ("jet", lambda d: d["levels"][1]["components"][0].update(idx=[0, 1, 2, 0, 1]),
+         "bad component index (0, 1, 2, 0, 1)"),
+        ("symjet", lambda d: d["levels"][1]["components"][0].update(sym=[0, 7]),
+         "bad component index sym=[0, 7] pair="),
+    ])
+    def test_loader_messages(self, kind, edit, message):
+        jet = oracle_jet(E2, 1, seed=71)
+        obj = (jet if kind == "jet" else symmetrize_jet(jet)).to_json_obj()
+        edit(obj)
+        cls = CurvatureJet if kind == "jet" else SymJet
+        with pytest.raises(ValueError) as info:
+            cls.from_json_obj(obj)
+        assert str(info.value).startswith(message)

@@ -337,6 +337,28 @@ class TestPolyEndSeries:
                 for t in range(6):
                     assert a.mul(b, t) == (a * b).truncated(t)
 
+    def test_product_is_the_sum_of_entry_products(self):
+        rng = random.Random(37)
+        for space in (E2, L3):
+            n = space.n
+            for _ in range(5):
+                a, b = random_poly_end(space, rng), random_poly_end(space, rng)
+                for t in (None, 0, 2, 4):
+                    want = {}
+                    for i, j in itertools.product(range(n), repeat=2):
+                        entry = Poly.zero(n)
+                        for m in range(n):
+                            entry = entry + a.entry(i, m).mul(b.entry(m, j), t)
+                        if entry:
+                            want[(i, j)] = entry
+                    assert a.mul(b, t).coeffs == want
+
+    def test_cancelled_entries_are_dropped(self):
+        x0 = Poly.variable(2, 0)
+        a = PolyEnd(E2, {(0, 0): x0, (0, 1): x0})
+        b = PolyEnd(E2, {(0, 1): x0, (1, 1): -x0, (1, 0): x0})
+        assert a.mul(b).coeffs == {(0, 0): x0 * x0}
+
     def test_truncated_product_is_associative(self):
         rng = random.Random(31)
         for _ in range(5):
