@@ -169,6 +169,8 @@ def cmd_extend(args):
 
 
 def cmd_verify(args):
+    if args.n < 2:
+        raise InputError("need n >= 2")
     if args.max_k < 0:
         raise InputError("need max-k >= 0")
     if args.trials < 1:

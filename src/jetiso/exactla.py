@@ -7,9 +7,9 @@ and prints; ``parse_rational`` reads the common forms ``-?digits`` and
 ``-?digits/digits`` without ``Fraction``'s regular expression and hands
 anything else to ``Fraction``, so the accepted literals are ``Fraction``'s,
 less those whose numerator or denominator would pass ``MAX_DIGITS``
-digits: those are counted from the text and refused before any power of
-ten is built.  ``exact_quotient`` is the division that keeps an integral
-quotient an int.
+digits: those are counted from the text and refused before any int or
+power of ten is built from it.  ``exact_quotient`` is the division that
+keeps an integral quotient an int.
 
 Matrices are small and dense.  Reduction is classical Gauss-Jordan with
 exact pivots, which is plenty here because every large system in the
@@ -50,17 +50,20 @@ def parse_rational(text):
         raise ValueError(f"not an exact rational: {text!r}")
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
-    if digits.isascii() and digits.isdigit():
-        if not slash:
-            return int(num)
-        if den.isascii() and den.isdigit() and (d := int(den)):
-            return exact_quotient(int(num), d)
     try:
-        if "/" not in text and _written_digits(text) > MAX_DIGITS:
+        if digits.isascii() and digits.isdigit():
+            if len(digits) > MAX_DIGITS or len(den) > MAX_DIGITS:
+                raise ValueError(f"more than {MAX_DIGITS} digits")
+            if not slash:
+                return int(num)
+            if den.isascii() and den.isdigit() and (d := int(den)):
+                return exact_quotient(int(num), d)
+        if not slash and _written_digits(text) > MAX_DIGITS:
             raise ValueError(f"more than {MAX_DIGITS} digits")
         return _normalized(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal: {text!r}") from exc
+        shown = repr(text) if len(text) <= 64 else f"{text[:32]!r}... ({len(text)} characters)"
+        raise ValueError(f"bad rational literal: {shown}") from exc
 
 
 def _written_digits(text):

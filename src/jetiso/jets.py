@@ -364,14 +364,19 @@ def reconstruct_linear(s: SymPairTensor) -> LinearJetComponent:
     """Linear jet component whose symmetrization is s.
 
     Requires s in the gauge space; the component is
-    -(k+1)/(k+3) times the Kulkarni-Nomizu extension of s.
+    -(k+1)/(k+3) times the Kulkarni-Nomizu extension of s.  That
+    extension is linear, so it runs on s dilated into ints by t, and
+    each value is divided once, by (k+3)t.
     """
     k = s.k - 2
     if k < 0:
         raise ValueError("need a tensor of degree at least 2")
-    if not is_gauge_tensor(s):
+    t, (dilated,) = _dilate_integral([(1, s)])
+    if not is_gauge_tensor(dilated):
         raise ValueError(f"input of degree {s.k} is not a gauge tensor")
-    tensor = kulkarni(s).scaled(Fraction(-(k + 1), k + 3))
+    tensor = kulkarni(dilated)
+    tensor = tensor._with({idx: exact_quotient(-(k + 1) * v, (k + 3) * t)
+                           for idx, v in tensor.coeffs.items()})
     return LinearJetComponent(s.space, k, tensor)
 
 

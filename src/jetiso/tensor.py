@@ -23,7 +23,11 @@ arrangements into stored values with one exact division each (by the
 number of arrangements times a caller's scale, so an integer dilation is
 undone in the same step), and the gauge condition's keys in
 ``_radial_keys``, shared by ``is_gauge_tensor``, ``sums_are_gauge`` and
-``gauge_basis``.
+``gauge_basis``.  The map back to multilinear forms, the Kulkarni-Nomizu
+extension ``kulkarni``, scatters too: each stored component adds its
+value at the distinct arrangements of its multiset and orders of its
+pair, with the signs of the two antisymmetric slot pairs, so its work
+follows the stored components and not the n^(k+4) output indices.
 """
 
 from __future__ import annotations
@@ -423,21 +427,26 @@ def kulkarni(h: SymPairTensor):
 
         (x; a, b, c, d) -> h(x, a, c; b, d) - h(x, b, c; a, d)
                            - h(x, a, d; b, c) + h(x, b, d; a, c).
+
+    That is F - F.swap(a,b) - F.swap(c,d) + F.swap(a,b).swap(c,d) for
+    F(x; a, b, c, d) = h(x, a, c; b, d), so it is a scatter: a stored
+    component at (sym, pair) adds its value at every distinct arrangement
+    (x, a, c) of sym and order (b, d) of pair, once on each of the four
+    sign images of (a, b, c, d).
     """
-    space = h.space
-    n = space.n
     k = h.k - 2
     if k < 0:
         raise ValueError("need a tensor with at least two symmetric slots")
-    out = MultiTensor.zero(space, k + 4)
-    for idx in itertools.product(range(n), repeat=k + 4):
-        lead = idx[:k]
-        a, b, c, d = idx[k:]
-        v = (h.get(lead + (a, c), (b, d)) - h.get(lead + (b, c), (a, d))
-             - h.get(lead + (a, d), (b, c)) + h.get(lead + (b, d), (a, c)))
-        if v:
-            out.set(idx, v)
-    return out
+    out = defaultdict(int)
+    for (sym, (p, q)), v in h.coeffs.items():
+        for arrangement in set(itertools.permutations(sym)):
+            lead, a, c = arrangement[:k], arrangement[k], arrangement[k + 1]
+            for b, d in {(p, q), (q, p)}:
+                out[lead + (a, b, c, d)] += v
+                out[lead + (b, a, c, d)] -= v
+                out[lead + (a, b, d, c)] -= v
+                out[lead + (b, a, d, c)] += v
+    return MultiTensor(h.space, k + 4, out)
 
 
 class PolyEnd(Sparse):

@@ -286,6 +286,22 @@ class TestInputContract:
         assert "bad rational literal: '1e-999999999'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind,command", [(kind, command) for kind in sorted(COMMANDS)
+                                              for command in COMMANDS[kind]])
+    def test_long_digit_string_refused(self, kind, command, tmp_path, capsys):
+        # int() would refuse 5000 digits with a message about an interpreter
+        # setting; the loader refuses them first, without echoing them
+        doc = copy.deepcopy(N2_DOCS[kind])
+        levels = doc["parts"] if kind == "metric" else doc["levels"]
+        levels[0]["components"][-1]["value"] = "7" * 5000
+        f = tmp_path / "long.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert "bad rational literal" in err
+        assert "set_int_max_str_digits" not in err and "7" * 100 not in err
+        assert "Traceback" not in err
+
     def test_huge_exponent_kappa_refused(self, tmp_path, capsys):
         code, _, err = run(capsys, "example", "--kappa", "1e999999999", "--out", str(tmp_path))
         assert code == 2 and "error: bad curvature value '1e999999999'" in err
@@ -445,6 +461,13 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "extension", "-n", "3",
                              "--max-k", "1", flag, value)
         assert code == 2 and message in err and out == ""
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_small_n_refused(self, capsys, n):
+        code, out, err = run(capsys, "verify", "-n", n, "--max-k", "0")
+        assert code == 2 and out == ""
+        assert "error: need n >= 2" in err
+        assert "Traceback" not in err
 
 
 class TestParser:

@@ -192,6 +192,26 @@ class TestScalars:
             parse_rational(text)
         assert time.perf_counter() - start < 1
 
+    # the fast path's plain digit strings obey the same limit, counted
+    # before int() reads them: CPython's own limit names an API, not the input
+    @pytest.mark.parametrize("text,value", [
+        ("7" * 4300, int("7" * 4300)), ("-" + "7" * 4300, -int("7" * 4300)),
+        ("1/" + "3" * 4300, Fraction(1, int("3" * 4300))),
+        ("-" + "7" * 4300 + "/" + "3" * 4300, Fraction(-int("7" * 4300), int("3" * 4300))),
+    ], ids=["p", "-p", "1/q", "-p/q"])
+    def test_plain_digits_at_limit(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["7" * 4301, "-" + "7" * 4301, "7" * 4301 + "/3",
+                                      "1/" + "3" * 4301, "7" * 5000],
+                             ids=["p", "-p", "p/q-numerator", "p/q-denominator", "5000"])
+    def test_plain_digits_past_limit(self, text):
+        with pytest.raises(ValueError, match="bad rational literal") as info:
+            parse_rational(text)
+        message = str(info.value)
+        assert "set_int_max_str_digits" not in message
+        assert len(message) < 200
+
     @pytest.mark.parametrize("value", [True, False, 0.1, 2.0, None, [1], Fraction(1, 2)])
     def test_only_strings_and_ints(self, value):
         with pytest.raises(ValueError, match="not an exact rational"):

@@ -14,9 +14,11 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetiso.jets import reconstruct_linear
 from jetiso.metriclab import PolyMetric, check_normal_gauge
 from jetiso.poly import Poly
 from jetiso.tensor import (
+    MultiTensor,
     PolyEnd,
     SignedPerm,
     Space,
@@ -244,7 +246,74 @@ class TestEvalPair:
         assert eval_pair(h, [a, b], [F(1), F(0)], [F(1), F(0)]) == 1 * 5 + 2 * 3
 
 
+def reference_kulkarni(h: SymPairTensor):
+    """The dense gather ``kulkarni`` replaced, kept as its oracle: every
+    index of the output reads four components of h."""
+    space = h.space
+    n = space.n
+    k = h.k - 2
+    if k < 0:
+        raise ValueError("need a tensor with at least two symmetric slots")
+    out = MultiTensor.zero(space, k + 4)
+    for idx in itertools.product(range(n), repeat=k + 4):
+        lead = idx[:k]
+        a, b, c, d = idx[k:]
+        v = (h.get(lead + (a, c), (b, d)) - h.get(lead + (b, c), (a, d))
+             - h.get(lead + (a, d), (b, c)) + h.get(lead + (b, d), (a, c)))
+        if v:
+            out.set(idx, v)
+    return out
+
+
+# the scatter is compared on every gauge basis element (n=2, 3 in degrees
+# 2-4 and n=4 in degrees 2-3, in both signatures) and on seeded non-gauge
+# tensors
+KULKARNI_CASES = [(space, degree)
+                  for n, degrees in ((2, (2, 3, 4)), (3, (2, 3, 4)), (4, (2, 3)))
+                  for space in (Space.euclidean(n), Space(n, (-1,) + (1,) * (n - 1)))
+                  for degree in degrees]
+
+
+def random_pair_tensor(space, degree, rng):
+    """A seeded tensor of this degree, gauge or not, mixing int and
+    Fraction values."""
+    comps = {}
+    for sym in sym_indices(space.n, degree):
+        for pair in sym_indices(space.n, 2):
+            if rng.random() < 0.6:
+                value = rng.randint(-5, 5)
+                comps[(sym, pair)] = value if rng.random() < 0.5 else F(value, rng.randint(1, 7))
+    return SymPairTensor(space, degree, comps)
+
+
 class TestKulkarni:
+    @pytest.mark.parametrize("space,degree", KULKARNI_CASES,
+                             ids=[f"n{s.n}-{'e' if s.signature[0] > 0 else 'l'}-d{d}"
+                                  for s, d in KULKARNI_CASES])
+    def test_scatter_matches_gather(self, space, degree):
+        rng = random.Random(100 * space.n + degree)
+        tensors = gauge_basis(space, degree) + [random_pair_tensor(space, degree, rng)
+                                                for _ in range(3)]
+        for h in tensors:
+            assert kulkarni(h).coeffs == reference_kulkarni(h).coeffs
+
+    @pytest.mark.parametrize("factor", [F(1, 2), F(2, 3), F(3, 2)])
+    @pytest.mark.parametrize("space", [E3, L3], ids=["euclidean", "lorentz"])
+    def test_reconstruction_scalar_policy(self, space, factor):
+        # the reconstruction divides once per value: an integral value is an
+        # int, and the component is -(k+1)/(k+3) times the gather oracle's
+        rng = random.Random(17)
+        for k in (0, 1, 2):
+            s = SymPairTensor(space, k + 2)
+            for b in gauge_basis(space, k + 2):
+                s = s + b.scaled(rng.randint(-3, 3))
+            s = s.scaled(factor)
+            tensor = reconstruct_linear(s).tensor
+            assert tensor.coeffs
+            assert all(type(v) is int or (type(v) is F and v.denominator != 1)
+                       for v in tensor.coeffs.values())
+            assert tensor.coeffs == reference_kulkarni(s).scaled(F(-(k + 1), k + 3)).coeffs
+
     def test_constant_curvature_pattern(self):
         for space in (E3, L3):
             kappa = F(2)
