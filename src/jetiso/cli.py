@@ -15,14 +15,14 @@ import sys
 
 from .exactla import parse_rational
 from .freealg import q_poly, qtilde_poly
-from .jets import CurvatureJet, InvalidJetError, SymJet, jet_from_symjet, symmetrize_jet
-from .jets import extend_jet as _extend_jet
+from .jets import CurvatureJet, InvalidJetError, SymJet, symmetrize_jet
 from .metriclab import (
     PolyMetric,
     const_curvature_symjet,
     curvature_jet_at_origin,
     metric_from_symjet,
 )
+from .metriclab import extend_jet as _extend_jet
 from .tensor import Space, curvature_jet_dim_bound, gauge_basis, gauge_dim
 from .verify import SUITE_NAMES, run_suites
 
@@ -204,7 +204,7 @@ def cmd_example(args):
         raise InputError(f"bad curvature value {args.kappa!r}") from exc
     s = const_curvature_symjet(space, kappa, args.order)
     g = metric_from_symjet(s)
-    jet = jet_from_symjet(s)
+    jet = curvature_jet_at_origin(g, args.order)
     os.makedirs(args.out, exist_ok=True)
     _dump_json(s.to_json_obj(), os.path.join(args.out, "symjet.json"))
     _dump_json(jet.to_json_obj(), os.path.join(args.out, "jet.json"))

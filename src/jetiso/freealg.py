@@ -227,10 +227,6 @@ def q_poly(k: int) -> FreeElement:
     return acc
 
 
-# short name used by callers that index the table by degree
-q_of = q_poly
-
-
 def leading_coeff(k: int) -> Fraction:
     """Coefficient of the single-letter word (k) in q_poly(k).
 

@@ -1,5 +1,5 @@
 """Curvature jets: validation, symmetrization, reconstruction, the
-Young-symmetrizer action, and jet extension.
+Young-symmetrizer action, and the algebraic symjet -> jet route.
 
 A curvature jet of order k over a pseudo-Euclidean space is a list of
 tensors T_0, ..., T_k, where T_l has l derivative slots followed
@@ -134,6 +134,8 @@ class Jet:
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
         order = int_field(obj, "order")
+        if order < 0:
+            raise ValueError("need order >= 0")
         levels = []
         for l, lv in enumerate(obj["levels"]):
             size = int_field(lv, cls.size_field)
@@ -318,11 +320,6 @@ class InvalidJetError(ValueError):
         super().__init__("invalid jet: " + "; ".join(str(v) for v in violations))
 
 
-def _require_valid(violations):
-    if violations:
-        raise InvalidJetError(violations)
-
-
 # ---------------------------------------------------------------------------
 # symmetrization and reconstruction
 
@@ -351,7 +348,9 @@ def symmetrize_jet(jet: CurvatureJet, validate: bool = True) -> SymJet:
     divided by t^(l+2) in ``pair_average``'s one division per value."""
     scale, dilated = _integral_dilation(jet)
     if validate:
-        _require_valid(_dilation_violations(scale, dilated))
+        violations = _dilation_violations(scale, dilated)
+        if violations:
+            raise InvalidJetError(violations)
     return SymJet(jet.space, [_symmetrize_level(t, l, scale ** (l + 2))
                               for l, t in enumerate(dilated.levels)])
 
@@ -545,10 +544,6 @@ def linear_jet_basis(space: Space, k: int):
             for vec in nullspace_basis(matrix)]
 
 
-# short name: C is the linear span of components at one jet level
-c_basis = linear_jet_basis
-
-
 def component_span_solve(t: MultiTensor, basis):
     """Coordinates of t in the span of basis components, or None.
 
@@ -591,7 +586,7 @@ def component_span_solve(t: MultiTensor, basis):
 
 
 # ---------------------------------------------------------------------------
-# conversion and extension
+# the algebraic route: one extension step, folded over the levels
 
 
 def _extend(jet: CurvatureJet, h: SymPairTensor) -> CurvatureJet:
@@ -633,22 +628,12 @@ def _extend(jet: CurvatureJet, h: SymPairTensor) -> CurvatureJet:
 
 
 def jet_from_symjet(s: SymJet) -> CurvatureJet:
-    """Curvature jet with the given symmetrization, built level by level."""
+    """Curvature jet with the given symmetrization, built level by level:
+    the algebraic route, the oracle of the CLI's series route."""
     jet = CurvatureJet(s.space, [])
     for h in s.levels:
         jet = _extend(jet, h)
     return jet
-
-
-def extend_jet(jet: CurvatureJet) -> CurvatureJet:
-    """Extend a valid jet by one order; raises ``InvalidJetError`` on an
-    invalid one.
-
-    The canonical extension is the one whose new level symmetrizes to
-    zero; the lower levels are kept as they are.
-    """
-    _require_valid(validate_jet(jet))
-    return _extend(jet, SymPairTensor.zero(jet.space, jet.order + 3))
 
 
 # ---------------------------------------------------------------------------

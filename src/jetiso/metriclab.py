@@ -36,13 +36,15 @@ from math import factorial
 
 from .exactla import exact_quotient
 from .freealg import evaluate, q_poly, qtilde_poly
-from .jets import CurvatureJet, SymJet
+from .jets import CurvatureJet, SymJet, symmetrize_jet
 from .poly import Poly, _dilate_integral, _graded, _graded_mul_into
 from .tensor import (
     MultiTensor,
     PolyEnd,
     Space,
     SymPairTensor,
+    _sign_images,
+    _sign_representative,
     end_pair_sums,
     gauge_basis,
     int_field,
@@ -196,30 +198,6 @@ def check_normal_gauge(g: PolyMetric) -> bool:
     return all(row.mul(pair_matrix(h)).is_zero() for h in g.parts.values())
 
 
-def _sign_representative(idx):
-    """Move idx to the representative with idx[-4] < idx[-3] and idx[-2] < idx[-1].
-
-    Returns (representative, sign of the move), or None when one of the
-    two antisymmetric pairs holds equal indices, where the component is 0.
-    """
-    a, b, c, d = idx[-4:]
-    if a == b or c == d:
-        return None
-    sign = 1
-    if a > b:
-        a, b, sign = b, a, -sign
-    if c > d:
-        c, d, sign = d, c, -sign
-    return idx[:-4] + (a, b, c, d), sign
-
-
-def _sign_images(idx):
-    """The four images of a representative under the two pair swaps, with signs."""
-    head, (a, b, c, d) = idx[:-4], idx[-4:]
-    return ((head + (a, b, c, d), 1), (head + (b, a, c, d), -1),
-            (head + (a, b, d, c), -1), (head + (b, a, d, c), 1))
-
-
 def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
     """Fully lowered curvature R(a, b, c, d) as a series dict on representatives.
 
@@ -365,6 +343,17 @@ def metric_from_symjet(s: SymJet) -> PolyMetric:
             raise GaugeError(degree)
         parts[degree] = pair_average(space, degree, sums, m * factorial(degree) * t ** degree)
     return PolyMetric(space, parts)
+
+
+def extend_jet(jet: CurvatureJet) -> CurvatureJet:
+    """Extend a valid jet by one order (``InvalidJetError`` on an invalid one)
+    by the new level that symmetrizes to zero: the jet of the metric of the
+    symmetrized jet padded with a zero top level.  Jets and symmetrized
+    jets correspond one to one, so its lower levels are the input's."""
+    space, order = jet.space, jet.order
+    s = symmetrize_jet(jet)
+    padded = SymJet(space, s.levels + [SymPairTensor.zero(space, order + 3)])
+    return curvature_jet_at_origin(metric_from_symjet(padded), order + 1)
 
 
 def transport_polynomial(s: SymJet, trunc: int) -> PolyEnd:

@@ -28,6 +28,8 @@ extension ``kulkarni``, scatters too: each stored component adds its
 value at the distinct arrangements of its multiset and orders of its
 pair, with the signs of the two antisymmetric slot pairs, so its work
 follows the stored components and not the n^(k+4) output indices.
+Those signs, of representatives a < b, c < d of the last four slots and
+their images, have one home, ``_sign_representative`` and ``_sign_images``.
 """
 
 from __future__ import annotations
@@ -352,14 +354,6 @@ def gauge_basis(space: Space, k: int):
     return list(_gauge_basis_cached(space, k))
 
 
-# short names: N is the gauge space of admissible Taylor parts, C the
-# linear span of jet components at one level
-is_in_N = is_gauge_tensor
-n_basis = gauge_basis
-dim_N = gauge_dim
-dim_C_lower = curvature_jet_dim_bound
-
-
 class MultiTensor(Tensor):
     """m-linear form over the space, sparse on full index tuples.
 
@@ -418,6 +412,31 @@ class MultiTensor(Tensor):
         return cls(space, arity)._with(_summed_values(keys, entries))
 
 
+def _sign_representative(idx):
+    """Move idx to the representative with idx[-4] < idx[-3] and idx[-2] < idx[-1].
+
+    Returns (representative, sign of the move), or None when one of the
+    two antisymmetric pairs holds equal indices, where the component is 0.
+    """
+    a, b, c, d = idx[-4:]
+    if a == b or c == d:
+        return None
+    sign = 1
+    if a > b:
+        a, b, sign = b, a, -sign
+    if c > d:
+        c, d, sign = d, c, -sign
+    return idx[:-4] + (a, b, c, d), sign
+
+
+def _sign_images(idx):
+    """The four images of idx under the swaps of its last two slot pairs,
+    with their signs: (a,b,c,d)+, (b,a,c,d)-, (a,b,d,c)-, (b,a,d,c)+."""
+    head, (a, b, c, d) = idx[:-4], idx[-4:]
+    return ((head + (a, b, c, d), 1), (head + (b, a, c, d), -1),
+            (head + (a, b, d, c), -1), (head + (b, a, d, c), 1))
+
+
 def kulkarni(h: SymPairTensor):
     """Kulkarni-Nomizu style extension of h to a curvature-type tensor.
 
@@ -442,10 +461,8 @@ def kulkarni(h: SymPairTensor):
         for arrangement in set(itertools.permutations(sym)):
             lead, a, c = arrangement[:k], arrangement[k], arrangement[k + 1]
             for b, d in {(p, q), (q, p)}:
-                out[lead + (a, b, c, d)] += v
-                out[lead + (b, a, c, d)] -= v
-                out[lead + (a, b, d, c)] -= v
-                out[lead + (b, a, d, c)] += v
+                for image, sign in _sign_images(lead + (a, b, c, d)):
+                    out[image] += sign * v
     return MultiTensor(h.space, k + 4, out)
 
 

@@ -161,6 +161,24 @@ class TestExamplePipeline:
         assert not (tmp_path / "x").exists()
 
 
+class TestSeriesRoute:
+    def test_example_and_extend_never_solve(self, tmp_path, capsys, monkeypatch):
+        # the CLI converts a symjet to a jet through the metric; the
+        # Bianchi solve is only the algebraic oracle of verify and the tests
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Bianchi system was built")
+
+        monkeypatch.setattr("jetiso.jets._bianchi_system", refuse)
+        for signature in ("+++", "-++"):
+            out = tmp_path / signature
+            code, _, err = run(capsys, "example", "--kappa", "2/3", "-n", "3",
+                               f"--signature={signature}", "--order", "2", "--out", str(out))
+            assert code == 0 and err == ""
+            code, text, err = run(capsys, "extend", str(out / "jet.json"))
+            assert code == 0 and err == ""
+            assert json.loads(text)["order"] == 3
+
+
 class TestExpandErrors:
     def test_order_beyond_input(self, example_dir, capsys):
         code, _, err = run(capsys, "expand", str(example_dir / "symjet.json"),
@@ -348,6 +366,17 @@ class TestInputContract:
         assert code == 2
         assert "part of degree 2 is not a gauge tensor" in err
 
+    @pytest.mark.parametrize("kind,command", [(kind, command) for kind in ("jet", "symjet")
+                                              for command in COMMANDS[kind]])
+    def test_negative_order_refused(self, kind, command, tmp_path, capsys):
+        # order -1 matches an empty level list, but no jet has order -1
+        doc = dict(N2_DOCS[kind], order=-1, levels=[])
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert f"error: {f} is not a jet file: need order >= 0" in err
+
 
 # every field of each document kind that gives a size, as a path
 SIZE_FIELDS = {"jet": [("n",), ("order",), ("levels", 0, "arity")],
@@ -461,6 +490,19 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "extension", "-n", "3",
                              "--max-k", "1", flag, value)
         assert code == 2 and message in err and out == ""
+
+    def test_broken_series_route_fails_checks(self, capsys, monkeypatch):
+        # one wrong curvature component: the symmetrization of the jet is not
+        # a gauge tensor, which fails a check (exit 1) and is no bad input
+        def broken(g, order):
+            jet = curvature_jet_at_origin(g, order)
+            jet.levels[0].set((0, 1, 0, 1), jet.levels[0].get((0, 1, 0, 1)) + 1)
+            return jet
+
+        monkeypatch.setattr("jetiso.verify.curvature_jet_at_origin", broken)
+        code, out, err = run(capsys, "verify", "--suite", "roundtrip", "-n", "2", "--max-k", "0")
+        assert code == 1 and err == ""
+        assert "FAIL roundtrip.metric-n2-k0" in out.splitlines()
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_small_n_refused(self, capsys, n):

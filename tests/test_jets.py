@@ -32,7 +32,6 @@ from jetiso.jets import (
     _worst_index,
     component_span_solve,
     derivation_apply,
-    extend_jet,
     hook_constant,
     jet_from_symjet,
     linear_jet_basis,
@@ -49,7 +48,7 @@ from jetiso.jets import (
 from jetiso.metriclab import (
     const_curvature_symjet,
     curvature_jet_at_origin,
-    metric_from_symjet,
+    extend_jet,
     random_normal_metric,
     random_symjet,
 )
@@ -575,11 +574,11 @@ class TestExtension:
             assert validate_jet(ext) == []
             for level in range(order + 1):
                 assert ext.levels[level] == jet.levels[level]
-            # equal to the metric route's extension, which pads the
-            # symmetrized jet with a zero top level
+            # equal to the algebraic route's solve of the symmetrized jet
+            # padded with a zero top level
             s = symmetrize_jet(jet)
             padded = SymJet(space, s.levels + [SymPairTensor.zero(space, order + 3)])
-            assert ext == curvature_jet_at_origin(metric_from_symjet(padded), order + 1)
+            assert ext == jet_from_symjet(padded)
             # the source metric's own jet extends it too, up to a linear component
             own = curvature_jet_at_origin(g, order + 1)
             diff = own.levels[order + 1] - ext.levels[order + 1]
@@ -618,12 +617,13 @@ class TestLayering:
 
         code = (
             "import sys\n"
-            "from jetiso.jets import SymJet, extend_jet, jet_from_symjet\n"
-            "from jetiso.tensor import Space, gauge_basis\n"
+            "from jetiso.jets import SymJet, jet_from_symjet\n"
+            "from jetiso.tensor import Space, SymPairTensor, gauge_basis\n"
             "space = Space(3, (-1, 1, 1))\n"
-            "s = SymJet(space, [gauge_basis(space, 2)[0], gauge_basis(space, 3)[0]])\n"
-            "ext = extend_jet(jet_from_symjet(s))\n"
-            "assert ext.order == 2 and not ext.levels[0].is_zero()\n"
+            "s = SymJet(space, [gauge_basis(space, 2)[0], gauge_basis(space, 3)[0],\n"
+            "                   SymPairTensor.zero(space, 4)])\n"
+            "jet = jet_from_symjet(s)\n"
+            "assert jet.order == 2 and not jet.levels[0].is_zero()\n"
             "assert 'jetiso.metriclab' not in sys.modules, 'metriclab was imported'\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(jetiso.__file__)))
@@ -650,7 +650,9 @@ class TestPinnedOutputs:
                         h.update(json.dumps(b.tensor.to_json_obj(), sort_keys=True).encode())
                 for order in (0, 1):
                     s = random_symjet(space, order, random.Random(71 + 10 * n + order))
-                    ext = extend_jet(jet_from_symjet(s))
+                    # the extension by the solve: a zero top level
+                    padded = SymJet(space, s.levels + [SymPairTensor.zero(space, order + 3)])
+                    ext = jet_from_symjet(padded)
                     h.update(json.dumps(ext.to_json_obj(), sort_keys=True).encode())
         assert h.hexdigest() == "dbd0d023e597eda4cff44a80ee8278f6a0d08b1ed2937b746aefdf52cabe3993"
 

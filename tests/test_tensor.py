@@ -519,14 +519,3 @@ def test_serialization_round_trip(sig, k, rng):
                 comps[(sym, pair)] = F(rng.randint(-9, 9), rng.randint(1, 9))
     h = SymPairTensor(space, k, comps)
     assert SymPairTensor.from_json_obj(h.to_json_obj()) == h
-
-
-def test_short_names_match_the_long_ones():
-    from jetiso import freealg, jets, tensor
-
-    assert tensor.is_in_N is tensor.is_gauge_tensor
-    assert tensor.n_basis is tensor.gauge_basis
-    assert tensor.dim_N is tensor.gauge_dim
-    assert tensor.dim_C_lower is tensor.curvature_jet_dim_bound
-    assert jets.c_basis is jets.linear_jet_basis
-    assert freealg.q_of is freealg.q_poly
