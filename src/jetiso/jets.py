@@ -19,6 +19,10 @@ These identities are weighted-homogeneous: the dilation x -> t x scales
 T_l by t^(l+2), and each identity at level l keeps weight l+2.  A jet is
 therefore valid exactly when its dilation is, and ``validate_jet`` checks
 the dilation by the least common denominator, whose entries are ints.
+It splits each level once into orbits under the swaps of its two
+antisymmetric slot pairs: the other identities, and ``ricci_defect``, act
+on one representative per orbit, and a defect is built in full only to
+report an identity that fails.
 Symmetrization is linear and level-wise, so ``symmetrize_jet`` sums the
 same dilation in ints and divides each stored value once, by its number
 of arrangements times t^(l+2).
@@ -47,6 +51,8 @@ from .tensor import (
     SignedPerm,
     Space,
     SymPairTensor,
+    _sign_images,
+    _sign_representative,
     content_of,
     int_field,
     is_gauge_tensor,
@@ -193,17 +199,70 @@ def _cyclic_sum(t: MultiTensor, a: int) -> MultiTensor:
     return t + t.permuted(cyc) + t.permuted(cyc2)
 
 
-def _curvature_block_violations(t: MultiTensor, level: int):
-    """Symmetry checks on the last four slots, derivative slots frozen."""
-    k = t.arity - 4
-    out = []
-    _check(out, level, "antisymmetry", (k + 1, k + 2), t + t.swapped(k, k + 1))
-    _check(out, level, "antisymmetry", (k + 3, k + 4), t + t.swapped(k + 2, k + 3))
-    sigma = list(range(t.arity))
-    sigma[k], sigma[k + 1], sigma[k + 2], sigma[k + 3] = sigma[k + 2], sigma[k + 3], sigma[k], sigma[k + 1]
-    _check(out, level, "pair_symmetry", (k + 1, k + 3), t - t.permuted(sigma))
-    _check(out, level, "bianchi1", (k + 1, k + 2, k + 3), _cyclic_sum(t, k))
-    return out
+def _sign_split(t: MultiTensor):
+    """Split a level into its orbits under the swaps of its last two slot pairs.
+
+    Returns (reps, rest).  ``reps`` maps the a < b, c < d representative
+    of every orbit whose stored values are v, -v, -v, v (``_sign_images``)
+    to v; ``rest`` holds every entry of every other orbit, including any
+    nonzero entry with a == b or c == d.  So the level is antisymmetric in
+    both pairs exactly when ``rest`` is empty, and then ``reps`` determines
+    it.  When every stored entry lies in a consistent orbit, which is when
+    there are four of them per representative, the pass that sorts out
+    ``rest`` is skipped.
+    """
+    coeffs = t.coeffs
+    reps = {}
+    for idx, v in coeffs.items():
+        a, b, c, d = idx[-4:]
+        if a < b and c < d:
+            head = idx[:-4]
+            if (coeffs.get(head + (b, a, c, d)) == -v and coeffs.get(head + (a, b, d, c)) == -v
+                    and coeffs.get(head + (b, a, d, c)) == v):
+                reps[idx] = v
+    if len(coeffs) == 4 * len(reps):
+        return reps, {}
+    rest = {}
+    for idx, v in coeffs.items():
+        moved = _sign_representative(idx)
+        if moved is None or moved[0] not in reps:
+            rest[idx] = v
+    return reps, rest
+
+
+def _cyclic_sum_vanishes(reps, second: bool) -> bool:
+    """Whether the first (or, with ``second``, the second) Bianchi cyclic sum
+    vanishes on a level antisymmetric in its last two slot pairs, whose
+    sign representatives are ``reps``.
+
+    The first sum runs over slots (a, b, c) of (a, b, c, d), the second over
+    (x, a, b) of (x, a, b, c, d).  On such a level either sum is totally
+    antisymmetric in its three slots, so it vanishes when it does at
+    increasing indices there; that value is the sum of the entries whose
+    three slots hold those indices with a < b, each signed by the parity
+    of their order.  A representative (a, b, c, d) with value v holds two
+    such entries of the first sum, v at (a, b, c, d) and -v at
+    (a, b, d, c), and one of the second, v at (x, a, b, c, d) (that sum is
+    antisymmetric in c, d as well, so only c < d is kept).
+    """
+    sums = defaultdict(int)
+    for idx, v in reps.items():
+        if second:
+            head, (z, a, b), tail = idx[:-5], idx[-5:-2], idx[-2:]
+            terms = ((z, tail, v),)
+        else:
+            head, (a, b, c, d) = idx[:-4], idx[-4:]
+            terms = ((c, (d,), v), (d, (c,), -v))
+        # (a, b, z) and its rotation (z, a, b) are even orders of the three
+        # indices when z > b or z < a, and odd when a < z < b
+        for z, tail, w in terms:
+            if z > b:
+                sums[head + (a, b, z) + tail] += w
+            elif z < a:
+                sums[head + (z, a, b) + tail] += w
+            elif z != a and z != b:
+                sums[head + (a, z, b) + tail] -= w
+    return not any(sums.values())
 
 
 def _check(out, level, identity, slots, defect):
@@ -235,6 +294,20 @@ def derivation_apply(form: MultiTensor, target: MultiTensor, frozen: int = 0) ->
     return target._with({idx: v for idx, v in out.items() if v})
 
 
+def _fold(coeffs):
+    """Sum each key's value into its sign representative, with the sign of
+    the move; keys with an equal antisymmetric pair are dropped."""
+    out = defaultdict(int)
+    for idx, v in coeffs.items():
+        if idx[-4] < idx[-3] and idx[-2] < idx[-1]:
+            out[idx] += v
+        else:
+            moved = _sign_representative(idx)
+            if moved is not None:
+                out[moved[0]] += moved[1] * v
+    return out
+
+
 def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
     """Exchange defect of derivative slots (i, i+1) at the given level.
 
@@ -252,34 +325,69 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
     p - r + q with the p - r slots of v_J frozen, p = i - 1, and the
     result is placed at every choice of the r prefix slots holding v_I.
 
+    The defect is linear in the levels it reads, and both the derivation
+    (which acts alike on every slot it reaches, the last four included)
+    and the exchange of derivative slots commute with the swaps of the
+    last two slot pairs.  So each level is split by ``_sign_split``: the
+    consistent orbits enter through their representatives alone, each
+    acted key folded back to its representative, and the result is
+    written to its four sign images; the rest enters in full.
+
     Vanishes identically on jets of metrics.
     """
     if not 1 <= i <= level - 1:
         raise ValueError("need 1 <= i <= level-1")
-    t = jet.levels[level]
     p = i - 1
     q = level - i - 1
-    rhs = {}
+    reps, rest = {}, {}
+    for l in (level, *range(q, p + q + 1)):
+        t = jet.levels[l]
+        reps[l], rest[l] = (t._with(part) for part in _sign_split(t))
+    forms = []
     for r in range(p + 1):
-        forms = defaultdict(dict)
+        by_head = defaultdict(dict)
         for idx, v in jet.levels[r].coeffs.items():
-            forms[idx[:r + 2]][idx[r + 2:]] = v
-        target = jet.levels[p - r + q]
+            by_head[idx[:r + 2]][idx[r + 2:]] = v
         # for each placement of v_I, the position in v_I + v_J of each prefix slot
         placements = []
         for subset in itertools.combinations(range(p), r):
             order = list(subset) + [s for s in range(p) if s not in subset]
             placements.append(sorted(range(p), key=order.__getitem__))
-        for head, comps in forms.items():
+        forms.append((placements, [(head, MultiTensor(jet.space, 2, comps))
+                                   for head, comps in by_head.items()]))
+    out = defaultdict(int)
+    for idx, v in _exchange_defect(reps, forms, level, p, True).items():
+        if v:
+            for image, sign in _sign_images(idx):
+                out[image] = sign * v
+    for idx, v in _exchange_defect(rest, forms, level, p, False).items():
+        out[idx] += v
+    return jet.levels[level]._with({idx: v for idx, v in out.items() if v})
+
+
+def _exchange_defect(levels, forms, level, p, fold):
+    """``ricci_defect`` on one part of each level it reads (``levels`` maps a
+    level to that part), with ``forms`` holding per r the placements and
+    the forms of level r by head; with ``fold``, each acted key is moved to
+    its sign representative."""
+    t = levels[level]
+    out = (t - t.swapped(p, p + 1)).coeffs
+    for r, (placements, by_head) in enumerate(forms):
+        target = levels[level - 2 - r]
+        if not target:
+            continue
+        for head, form in by_head:
+            acted = derivation_apply(form, target, p - r).coeffs
+            if fold:
+                acted = _fold(acted)
             v_i, pair = head[:r], head[r:]
-            acted = derivation_apply(MultiTensor(jet.space, 2, comps), target, p - r)
-            for idx, v in acted.coeffs.items():
-                parts = v_i + idx[:p - r]
-                rest = pair + idx[p - r:]
+            for idx, v in acted.items():
+                prefix = v_i + idx[:p - r]
+                tail = pair + idx[p - r:]
                 for gather in placements:
-                    key = tuple(parts[c] for c in gather) + rest
-                    rhs[key] = rhs.get(key, 0) + v
-    return t - t.swapped(i - 1, i) - t._with({idx: v for idx, v in rhs.items() if v})
+                    key = tuple(prefix[c] for c in gather) + tail
+                    out[key] = out.get(key, 0) - v
+    return out
 
 
 def _integral_dilation(jet: "CurvatureJet"):
@@ -299,11 +407,26 @@ def validate_jet(jet: "CurvatureJet"):
 
 
 def _dilation_violations(scale, jet: "CurvatureJet"):
-    """``validate_jet`` of the jet whose dilation by ``scale`` is ``jet``."""
+    """``validate_jet`` of the jet whose dilation by ``scale`` is ``jet``.
+
+    Each level is split into sign orbits once (``_sign_split``).  Both
+    antisymmetries hold exactly when no entry is left outside a consistent
+    orbit; on such a level pair symmetry and the two Bianchi identities are
+    tested on the representatives.  A defect is built in full only where
+    a test fails, or on a level that is not antisymmetric, to report it."""
     out = []
     for level, t in enumerate(jet.levels):
-        out.extend(_curvature_block_violations(t, level))
-        if level >= 1:
+        reps, rest = _sign_split(t)
+        k = level  # the derivative slots before the four curvature slots
+        if rest:
+            _check(out, level, "antisymmetry", (k + 1, k + 2), t + t.swapped(k, k + 1))
+            _check(out, level, "antisymmetry", (k + 3, k + 4), t + t.swapped(k + 2, k + 3))
+        if rest or any(reps.get(idx[:-4] + idx[-2:] + idx[-4:-2]) != v for idx, v in reps.items()):
+            sigma = list(range(k)) + [k + 2, k + 3, k, k + 1]
+            _check(out, level, "pair_symmetry", (k + 1, k + 3), t - t.permuted(sigma))
+        if rest or not _cyclic_sum_vanishes(reps, second=False):
+            _check(out, level, "bianchi1", (k + 1, k + 2, k + 3), _cyclic_sum(t, k))
+        if level >= 1 and (rest or not _cyclic_sum_vanishes(reps, second=True)):
             _check(out, level, "bianchi2", (level, level + 1, level + 2), _cyclic_sum(t, level - 1))
         for i in range(1, level):
             _check(out, level, "ricci", (i, i + 1), ricci_defect(jet, level, i))

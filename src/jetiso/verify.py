@@ -50,6 +50,7 @@ from .tensor import (
     MultiTensor,
     Space,
     SymPairTensor,
+    _sign_images,
     curvature_jet_dim_bound,
     gauge_basis,
     gauge_dim,
@@ -263,18 +264,27 @@ def suite_validator(n: int, max_k: int, seed: int = 0):
     out.append(_result(f"validator.accepts-metric-jets-n{n}-k{k}",
                        validate_jet(jet) == []))
 
-    detected = True
-    total = 0
+    probes = []
     for level, t in enumerate(jet.levels):
         indices = list(t.iter_indices())
-        probes = indices if len(indices) <= 200 else rng.sample(indices, 50)
-        for idx in probes:
-            mutated = jet.levels[:level] + [_bump(t, idx)] + jet.levels[level + 1:]
-            if not validate_jet(CurvatureJet(space, mutated)):
-                detected = False
-            total += 1
-    out.append(_result(f"validator.detects-unit-mutations-n{n}-k{k}", detected,
-                       f"{total} probes"))
+        picked = indices if len(indices) <= 200 else rng.sample(indices, 50)
+        probes += [(level, [(idx, 1)]) for idx in picked]
+    out.append(_result(f"validator.detects-unit-mutations-n{n}-k{k}",
+                       _detects_all(jet, probes), f"{len(probes)} probes"))
+
+    if n >= 3:
+        # whole sign orbits (a,b,c,d)+, (b,a,c,d)-, (a,b,d,c)-, (b,a,d,c)+ with
+        # {a, b} != {c, d} (none at n = 2): both antisymmetries hold and pair
+        # symmetry fails, so only the checks on sign representatives see them
+        orbit_rng = random.Random(f"orbits:{seed}")
+        probes = []
+        for level, t in enumerate(jet.levels):
+            reps = [idx for idx in t.iter_indices()
+                    if idx[-4] < idx[-3] and idx[-2] < idx[-1] and idx[-4:-2] != idx[-2:]]
+            probes += [(level, _sign_images(idx))
+                       for idx in orbit_rng.sample(reps, min(8, len(reps)))]
+        out.append(_result(f"validator.detects-orbit-mutations-n{n}-k{k}",
+                           _detects_all(jet, probes), f"{len(probes)} probes"))
 
     ok = True
     for _ in range(2):
@@ -286,10 +296,16 @@ def suite_validator(n: int, max_k: int, seed: int = 0):
     return out
 
 
-def _bump(t, idx):
-    res = MultiTensor(t.space, t.arity, t.coeffs)
-    res.set(idx, res.get(idx) + 1)
-    return res
+def _detects_all(jet, probes):
+    """Whether ``validate_jet`` reports every mutation of the jet: a probe
+    (level, terms) raises the entry at each idx of terms by its sign."""
+    for level, terms in probes:
+        t = MultiTensor(jet.space, level + 4, jet.levels[level].coeffs)
+        for idx, sign in terms:
+            t.set(idx, t.get(idx) + sign)
+        if not validate_jet(CurvatureJet(jet.space, jet.levels[:level] + [t] + jet.levels[level + 1:])):
+            return False
+    return True
 
 
 def run_suites(suite: str, n: int = 3, max_k: int = 3, seed: int = 0,

@@ -25,9 +25,8 @@ from jetiso.jets import (
     MultiTensor,
     SymJet,
     Violation,
-    _curvature_block_violations,
-    _cyclic_sum,
     _integral_dilation,
+    _sign_split,
     _symmetrize_level,
     _worst_index,
     component_span_solve,
@@ -130,21 +129,41 @@ def padded_jet(c):
     return CurvatureJet(c.space, CurvatureJet.zero(c.space, c.k - 1).levels + [c.tensor])
 
 
+def reference_cyclic_sum(t, a):
+    """Sum of t over the cyclic permutations of slots a, a+1, a+2, on full dicts."""
+    cyc = list(range(t.arity))
+    cyc[a:a + 3] = [a + 1, a + 2, a]
+    cyc2 = list(range(t.arity))
+    cyc2[a:a + 3] = [a + 2, a, a + 1]
+    return t + t.permuted(cyc) + t.permuted(cyc2)
+
+
+def reference_violations(defects):
+    """The violations of (level, identity, slots, defect) records with a nonzero defect."""
+    return [Violation(level, identity, slots, *_worst_index(defect))
+            for level, identity, slots, defect in defects if not defect.is_zero()]
+
+
+def reference_block_defects(t, level):
+    """The curvature-block identities of one level, each defect built in full."""
+    k = t.arity - 4
+    sigma = list(range(k)) + [k + 2, k + 3, k, k + 1]
+    return [(level, "antisymmetry", (k + 1, k + 2), t + t.swapped(k, k + 1)),
+            (level, "antisymmetry", (k + 3, k + 4), t + t.swapped(k + 2, k + 3)),
+            (level, "pair_symmetry", (k + 1, k + 3), t - t.permuted(sigma)),
+            (level, "bianchi1", (k + 1, k + 2, k + 3), reference_cyclic_sum(t, k))]
+
+
 def reference_linear_violations(t, k):
     """The identities of the jet (0, ..., 0, t) read off t alone: the
     curvature block, the plain exchange of adjacent derivative slots (the
     Ricci right side is built from the zero lower levels) and the cyclic
     second Bianchi sum."""
-    out = _curvature_block_violations(t, k)
-    for i in range(k - 1):
-        defect = t - t.swapped(i, i + 1)
-        if not defect.is_zero():
-            out.append(Violation(k, "ricci", (i + 1, i + 2), *_worst_index(defect)))
+    defects = reference_block_defects(t, k)
+    defects += [(k, "ricci", (i + 1, i + 2), t - t.swapped(i, i + 1)) for i in range(k - 1)]
     if k >= 1:
-        defect = _cyclic_sum(t, k - 1)
-        if not defect.is_zero():
-            out.append(Violation(k, "bianchi2", (k, k + 1, k + 2), *_worst_index(defect)))
-    return out
+        defects.append((k, "bianchi2", (k, k + 1, k + 2), reference_cyclic_sum(t, k - 1)))
+    return reference_violations(defects)
 
 
 def by_identity(violations):
@@ -340,22 +359,22 @@ class TestRicciReference:
         assert nonzero > 0
 
 
-def reference_validate_jet(jet):
-    """The identity checks of ``validate_jet`` run directly on the jet's own
-    entries, with no dilation."""
+def reference_defects(jet):
+    """Every identity ``validate_jet`` checks, in its order, with its defect
+    built in full in this module from the jet's own entries (no dilation)."""
     out = []
     for level, t in enumerate(jet.levels):
-        out.extend(_curvature_block_violations(t, level))
+        out += reference_block_defects(t, level)
         if level >= 1:
-            defect = _cyclic_sum(t, level - 1)
-            if not defect.is_zero():
-                out.append(Violation(level, "bianchi2", (level, level + 1, level + 2),
-                                     *_worst_index(defect)))
-        for i in range(1, level):
-            defect = ricci_defect(jet, level, i)
-            if not defect.is_zero():
-                out.append(Violation(level, "ricci", (i, i + 1), *_worst_index(defect)))
+            out.append((level, "bianchi2", (level, level + 1, level + 2),
+                        reference_cyclic_sum(t, level - 1)))
+        out += [(level, "ricci", (i, i + 1), reference_ricci_defect(jet, level, i))
+                for i in range(1, level)]
     return out
+
+
+def reference_validate_jet(jet):
+    return reference_violations(reference_defects(jet))
 
 
 def dilated(jet, t):
@@ -421,6 +440,71 @@ class TestIntegralDilation:
         assert t > 1
         assert all(type(v) is int for lv in int_jet.levels for v in lv.coeffs.values())
         assert int_jet == dilated(jet, t)
+
+
+def orbit_bumped_jet(name, level, bump):
+    """The valid jet ``mixed_denominator_jet`` of ``DILATION_SPACES[name]``
+    with the four sign images (a,b,c,d), (b,a,c,d), (a,b,d,c), (b,a,d,c) of
+    one seeded stored component of ``level``, a < b and c < d, raised by
+    bump, -bump, -bump, bump.  Both antisymmetries still hold."""
+    space, order, seed = DILATION_SPACES[name]
+    levels = [MultiTensor(space, t.arity, t.coeffs)
+              for t in mixed_denominator_jet(space, order, seed).levels]
+    t = levels[level]
+    rng = random.Random(f"orbit:{seed}:{level}")
+    idx = rng.choice(sorted(i for i in t.coeffs if i[-4] < i[-3] and i[-2] < i[-1]))
+    head, (a, b, c, d) = idx[:-4], idx[-4:]
+    for abcd, sign in (((a, b, c, d), 1), ((b, a, c, d), -1), ((a, b, d, c), -1), ((b, a, d, c), 1)):
+        t.set(head + abcd, t.get(head + abcd) + sign * bump)
+    return CurvatureJet(space, levels)
+
+
+ORBIT_BUMPS = {"bump1_7": F(1, 7), "bump1": 1, "bump-2": -2}
+
+
+class TestSignConsistentMutations:
+    """Bumps of a whole sign orbit keep the level antisymmetric, so only the
+    tests on sign representatives can see them; the oracle builds every
+    defect in full."""
+
+    @pytest.mark.parametrize("bump", list(ORBIT_BUMPS.values()), ids=list(ORBIT_BUMPS))
+    @pytest.mark.parametrize("name", sorted(DILATION_SPACES))
+    def test_matches_full_defects(self, name, bump):
+        order = DILATION_SPACES[name][1]
+        for level in range(order + 1):
+            jet = orbit_bumped_jet(name, level, bump)
+            defects = reference_defects(jet)
+            found = [str(v) for v in validate_jet(jet)]
+            assert found == [str(v) for v in reference_violations(defects)], level
+            # a top-level bump may be a linear jet component, which is valid
+            assert not any(" identity=antisymmetry " in v for v in found)
+            for top, identity, slots, defect in defects:
+                if identity == "ricci":
+                    assert ricci_defect(jet, top, slots[0]) == defect, (level, top, slots)
+
+    def test_every_representative_check_reports(self):
+        reported = set()
+        for name, (_, order, _) in DILATION_SPACES.items():
+            for bump in ORBIT_BUMPS.values():
+                for level in range(order + 1):
+                    reported.update(v.identity for v in validate_jet(orbit_bumped_jet(name, level, bump)))
+        assert reported == {"pair_symmetry", "bianchi1", "bianchi2", "ricci"}
+
+    def test_split_sends_a_broken_orbit_to_rest(self):
+        t = mixed_denominator_jet(E3, 3, 3).levels[2]
+        reps, rest = _sign_split(t)
+        assert rest == {} and 4 * len(reps) == len(t.coeffs)
+        assert all(i[-4] < i[-3] and i[-2] < i[-1] for i in reps)
+        idx = sorted(reps)[0]
+        head, (a, b, c, d) = idx[:-4], idx[-4:]
+        broken = MultiTensor(E3, t.arity, t.coeffs)
+        broken.set(head + (b, a, d, c), 0)
+        diagonal = head + (a, a, c, d)
+        broken.set(diagonal, 1)
+        reps, rest = _sign_split(broken)
+        orbit = {head + abcd for abcd in ((a, b, c, d), (b, a, c, d), (a, b, d, c))}
+        assert set(rest) == orbit | {diagonal}
+        assert idx not in reps and 4 * len(reps) == len(broken.coeffs) - len(rest)
 
 
 class TestSymmetrize:
