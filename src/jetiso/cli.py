@@ -37,9 +37,12 @@ def _dump_json(obj, out_path):
     text = json.dumps(obj, indent=2) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _load_json(path):
@@ -202,10 +205,13 @@ def cmd_example(args):
         kappa = parse_rational(args.kappa)
     except ValueError as exc:
         raise InputError(f"bad curvature value {args.kappa!r}") from exc
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
     s = const_curvature_symjet(space, kappa, args.order)
     g = metric_from_symjet(s)
     jet = curvature_jet_at_origin(g, args.order)
-    os.makedirs(args.out, exist_ok=True)
     _dump_json(s.to_json_obj(), os.path.join(args.out, "symjet.json"))
     _dump_json(jet.to_json_obj(), os.path.join(args.out, "jet.json"))
     _dump_json(g.to_json_obj(), os.path.join(args.out, "metric.json"))

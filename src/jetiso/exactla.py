@@ -220,12 +220,3 @@ def solve_affine(a: RatMatrix, b):
         x[p] = red.at(i, a.cols)
     return x
 
-
-def mat_vec(m: RatMatrix, v):
-    if len(v) != m.cols:
-        raise ValueError("vector length does not match column count")
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        out.append(sum((a * b for a, b in zip(row, v)), Fraction(0)))
-    return out

@@ -138,14 +138,6 @@ class FreeElement(Sparse):
         return f"FreeElement({self.to_text()})"
 
 
-def mul(a: FreeElement, b: FreeElement) -> FreeElement:
-    return a * b
-
-
-def star(a: FreeElement) -> FreeElement:
-    return a.star()
-
-
 def pi_product(word) -> int:
     """Product of partial sums s_1 (s_1+1) s_2 (s_2+1) ... over the word.
 

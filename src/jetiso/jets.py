@@ -27,13 +27,17 @@ Symmetrization is linear and level-wise, so ``symmetrize_jet`` sums the
 same dilation in ints and divides each stored value once, by its number
 of arrangements times t^(l+2).
 
-Linear jet components are the jets of the special form (0, ..., 0, T);
+Linear jet components are the jets of the special form (0, ..., 0, T),
+each held as its top tensor T, a plain ``MultiTensor`` of arity k + 4;
 for those the derivative slots are fully symmetric and the only other
 constraints are the Bianchi identities, which ``validate_jet`` checks on
 that jet (its Ricci right sides read only the zero lower levels).  They
 are reconstructed from their total symmetrization by a Kulkarni-Nomizu
 product, and the Young symmetrizer of hook shape acts on them by an
 explicit integer eigenvalue.
+
+Both jet kinds are pulled back by a signed permutation level by level,
+through the one ``tensor.pullback`` (``Jet.pullback``).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .exactla import RatMatrix, exact_quotient, format_rational, nullspace_basis
 from .poly import _dilate_integral
 from .tensor import (
     MultiTensor,
-    SignedPerm,
     Space,
     SymPairTensor,
     _sign_images,
@@ -58,7 +61,7 @@ from .tensor import (
     is_gauge_tensor,
     kulkarni,
     pair_average,
-    transform_pair_tensor,
+    pullback,
 )
 
 
@@ -125,6 +128,10 @@ class Jet:
         return (type(other) is type(self) and self.space == other.space
                 and self.levels == other.levels)
 
+    def pullback(self, g):
+        """The jet of the pulled-back levels (``tensor.pullback``)."""
+        return type(self)(self.space, [pullback(t, g) for t in self.levels])
+
     def to_json_obj(self):
         return {
             "n": self.space.n,
@@ -173,17 +180,8 @@ class SymJet(Jet):
     offset = 2
 
 
-@dataclass
-class LinearJetComponent:
-    """Top tensor of a jet of the form (0, ..., 0, T)."""
-
-    space: Space
-    k: int
-    tensor: MultiTensor
-
-    def __post_init__(self):
-        if self.tensor.arity != self.k + 4:
-            raise ValueError("tensor arity does not match k")
+# the name under which bench/test_bench.py pulls a jet back
+transform_jet = Jet.pullback
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +476,12 @@ def symmetrize_jet(jet: CurvatureJet, validate: bool = True) -> SymJet:
                               for l, t in enumerate(dilated.levels)])
 
 
-def symmetrize_component(c: LinearJetComponent) -> SymPairTensor:
-    return _symmetrize_level(c.tensor, c.k)
+def symmetrize_component(t: MultiTensor) -> SymPairTensor:
+    """Total symmetrization of a linear jet component of order t.arity - 4."""
+    return _symmetrize_level(t, t.arity - 4)
 
 
-def reconstruct_linear(s: SymPairTensor) -> LinearJetComponent:
+def reconstruct_linear(s: SymPairTensor) -> MultiTensor:
     """Linear jet component whose symmetrization is s.
 
     Requires s in the gauge space; the component is
@@ -497,9 +496,8 @@ def reconstruct_linear(s: SymPairTensor) -> LinearJetComponent:
     if not is_gauge_tensor(dilated):
         raise ValueError(f"input of degree {s.k} is not a gauge tensor")
     tensor = kulkarni(dilated)
-    tensor = tensor._with({idx: exact_quotient(-(k + 1) * v, (k + 3) * t)
-                           for idx, v in tensor.coeffs.items()})
-    return LinearJetComponent(s.space, k, tensor)
+    return tensor._with({idx: exact_quotient(-(k + 1) * v, (k + 3) * t)
+                         for idx, v in tensor.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +660,7 @@ def linear_jet_basis(space: Space, k: int):
     derivative-symmetric classes, one content block at a time.
     """
     canon, blocks = _bianchi_system(space, k, symmetric=True)
-    return [LinearJetComponent(space, k, _scatter(space, k, canon, dict(zip(cols, vec))))
+    return [_scatter(space, k, canon, dict(zip(cols, vec)))
             for cols, matrix, _ in blocks
             for vec in nullspace_basis(matrix)]
 
@@ -679,7 +677,7 @@ def component_span_solve(t: MultiTensor, basis):
 
     basis_by_content = defaultdict(list)
     for bi, b in enumerate(basis):
-        contents = {content_of(idx, n) for idx in b.tensor.coeffs}
+        contents = {content_of(idx, n) for idx in b.coeffs}
         if len(contents) != 1:
             raise ValueError("basis element is not content-homogeneous")
         basis_by_content[contents.pop()].append(bi)
@@ -696,9 +694,9 @@ def component_span_solve(t: MultiTensor, basis):
             return None
         support = set(target_by_content.get(cont, ()))
         for bi in members:
-            support.update(basis[bi].tensor.coeffs)
+            support.update(basis[bi].coeffs)
         support = sorted(support)
-        rows = [[Fraction(basis[bi].tensor.get(idx)) for bi in members] for idx in support]
+        rows = [[Fraction(basis[bi].get(idx)) for bi in members] for idx in support]
         rhs = [Fraction(t.get(idx)) for idx in support]
         x = solve_affine(RatMatrix.from_rows(rows), rhs)
         if x is None:
@@ -746,7 +744,7 @@ def _extend(jet: CurvatureJet, h: SymPairTensor) -> CurvatureJet:
             raise ArithmeticError("extension system is inconsistent")
         solution.update(zip(cols, x))
     top = _scatter(space, k1, canon, solution)
-    top = top + reconstruct_linear(h - _symmetrize_level(top, k1)).tensor
+    top = top + reconstruct_linear(h - _symmetrize_level(top, k1))
     return CurvatureJet(space, jet.levels + [top])
 
 
@@ -758,29 +756,3 @@ def jet_from_symjet(s: SymJet) -> CurvatureJet:
         jet = _extend(jet, h)
     return jet
 
-
-# ---------------------------------------------------------------------------
-# equivariance helpers
-
-
-def transform_multi_tensor(t: MultiTensor, g: SignedPerm) -> MultiTensor:
-    """Pullback action (g.t)(x...) = t(g^{-1} x...).
-
-    Equivalently, the component of t at idx lands at g(idx) carrying
-    the product of the signs of idx.
-    """
-    out = {}
-    for idx, v in t.coeffs.items():
-        sign = 1
-        for i in idx:
-            sign *= g.signs[i]
-        out[tuple(g.perm[i] for i in idx)] = sign * v
-    return t._with(out)
-
-
-def transform_jet(jet: CurvatureJet, g: SignedPerm) -> CurvatureJet:
-    return CurvatureJet(jet.space, [transform_multi_tensor(t, g) for t in jet.levels])
-
-
-def transform_symjet(s: SymJet, g: SignedPerm) -> SymJet:
-    return SymJet(s.space, [transform_pair_tensor(h, g) for h in s.levels])

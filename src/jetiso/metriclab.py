@@ -190,14 +190,6 @@ def christoffel_series(g: PolyMetric, trunc: int) -> list:
     return [PolyEnd(space, entries) for entries in gamma]
 
 
-def check_normal_gauge(g: PolyMetric) -> bool:
-    """True when the radial contraction g_x(x, .) equals <x, .> exactly."""
-    n = g.space.n
-    # the matrix whose only row is x^T; x^T h(x) must vanish for every part
-    row = PolyEnd(g.space, {(0, a): Poly.variable(n, a) for a in range(n)})
-    return all(row.mul(pair_matrix(h)).is_zero() for h in g.parts.values())
-
-
 def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
     """Fully lowered curvature R(a, b, c, d) as a series dict on representatives.
 

@@ -22,14 +22,17 @@ multiset weight lives in ``pair_average``, which turns sums over
 arrangements into stored values with one exact division each (by the
 number of arrangements times a caller's scale, so an integer dilation is
 undone in the same step), and the gauge condition's keys in
-``_radial_keys``, shared by ``is_gauge_tensor``, ``sums_are_gauge`` and
-``gauge_basis``.  The map back to multilinear forms, the Kulkarni-Nomizu
+``_radial_keys``, shared by ``gauge_basis`` and the one check
+``_contraction_vanishes`` behind ``is_gauge_tensor`` and
+``sums_are_gauge``.  The map back to multilinear forms, the Kulkarni-Nomizu
 extension ``kulkarni``, scatters too: each stored component adds its
 value at the distinct arrangements of its multiset and orders of its
 pair, with the signs of the two antisymmetric slot pairs, so its work
 follows the stored components and not the n^(k+4) output indices.
 Those signs, of representatives a < b, c < d of the last four slots and
 their images, have one home, ``_sign_representative`` and ``_sign_images``.
+
+A signed permutation acts on both containers by one ``pullback``.
 """
 
 from __future__ import annotations
@@ -214,51 +217,6 @@ class SymPairTensor(Tensor):
         return cls(space, k)._with(_summed_values(keys, entries))
 
 
-def eval_pair(h: SymPairTensor, xs, y, z) -> Fraction:
-    """Evaluate h on k symmetric-slot vectors and the final pair."""
-    if len(xs) != h.k:
-        raise ValueError("wrong number of symmetric arguments")
-    n = h.space.n
-    total = Fraction(0)
-    for idx in itertools.product(range(n), repeat=h.k):
-        w = Fraction(1)
-        for pos, i in enumerate(idx):
-            w *= xs[pos][i]
-            if not w:
-                break
-        if not w:
-            continue
-        for p in range(n):
-            if not y[p]:
-                continue
-            for q in range(n):
-                if not z[q]:
-                    continue
-                v = h.get(idx, (p, q))
-                if v:
-                    total += w * y[p] * z[q] * v
-    return total
-
-
-def polarize(coeffs, n, degree):
-    """Symmetric multilinear form of a homogeneous polynomial.
-
-    ``coeffs`` maps exponent tuples (summing to ``degree``) to values.
-    Returns a dict on sorted index multisets such that evaluating the
-    form on the diagonal recovers the polynomial: the multiset S gets
-    the coefficient of its content over multiset_count(S), the number of
-    its arrangements.
-    """
-    out = {}
-    for mono, c in coeffs.items():
-        if sum(mono) != degree:
-            raise ValueError("polynomial is not homogeneous of the stated degree")
-        if c:
-            ms = multiset_from_content(mono)
-            out[ms] = Fraction(c, multiset_count(ms))
-    return out
-
-
 def _radial_keys(sym, pair):
     """Where the component at (sym, pair) lands in h(v,...,v; v, e_i).
 
@@ -272,37 +230,37 @@ def _radial_keys(sym, pair):
     return [(tuple(sorted(sym + (j,))), i) for j, i in orders]
 
 
-def is_gauge_tensor(h: SymPairTensor) -> bool:
-    """True when h(v,...,v; v, .) vanishes identically.
-
-    Checked exactly: every stored component is scattered through
-    ``_radial_keys`` and each coefficient of the contraction must be 0.
-    """
+def _contraction_vanishes(weighted) -> bool:
+    """Whether h(v,...,v; v, .) vanishes, given ``weighted``: (sym, pair, w)
+    for each stored key of h, where w is multiset_count(sym) times the
+    stored value, all times one nonzero factor.  Every w is scattered
+    through ``_radial_keys`` and each coefficient of the contraction must
+    be 0."""
     totals = defaultdict(int)
-    for (sym, pair), value in h.coeffs.items():
-        weighted = multiset_count(sym) * value
+    for sym, pair, w in weighted:
         for key in _radial_keys(sym, pair):
-            totals[key] += weighted
+            totals[key] += w
     return not any(totals.values())
+
+
+def is_gauge_tensor(h: SymPairTensor) -> bool:
+    """True when h(v,...,v; v, .) vanishes identically; checked exactly."""
+    return _contraction_vanishes((sym, pair, multiset_count(sym) * v)
+                                 for (sym, pair), v in h.coeffs.items())
 
 
 def sums_are_gauge(sums) -> bool:
     """``is_gauge_tensor(pair_average(space, k, sums, scale))``, read off the sums.
 
-    The stored value at (sym, pair) is its total over multiset_count(sym)
-    times multiset_count(pair) times scale, and it lands on the keys of
-    ``_radial_keys`` weighted by multiset_count(sym); so 2 * scale times
-    each coefficient of the contraction sums the totals landing there,
-    doubled for a pair of equal indices (one order, multiset_count 1).
-    The check runs in the totals' own arithmetic, before any division.
+    The stored value v at (sym, pair) has the arrangement sum
+    multiset_count(sym) * multiset_count(pair) * scale * v; times
+    2 / multiset_count(pair) that is 2 * scale * multiset_count(sym) * v,
+    the weight ``_contraction_vanishes`` takes, up to its common factor:
+    the sum itself for a pair of distinct indices, doubled for an equal
+    pair.  The check runs in the sums' own arithmetic, before any division.
     """
-    totals = defaultdict(int)
-    for (sym, pair), total in sums.items():
-        keys = _radial_keys(sym, pair)
-        weighted = total if len(keys) == 2 else 2 * total
-        for key in keys:
-            totals[key] += weighted
-    return not any(totals.values())
+    return _contraction_vanishes((sym, pair, total if pair[0] != pair[1] else 2 * total)
+                                 for (sym, pair), total in sums.items())
 
 
 def gauge_dim(n: int, k: int) -> int:
@@ -589,11 +547,6 @@ def end_pair_sums(e: PolyEnd):
     return sums
 
 
-def end_to_pair(e: PolyEnd, k: int) -> SymPairTensor:
-    """Inverse of pair_to_end for self-adjoint endomorphisms of degree k."""
-    return pair_average(e.space, k, end_pair_sums(e))
-
-
 @dataclass(frozen=True)
 class SignedPerm:
     """The linear map e_j -> signs[j] * e_{perm[j]}."""
@@ -625,26 +578,25 @@ class SignedPerm:
         return SignedPerm(perm, signs)
 
 
-def transform_pair_tensor(h: SymPairTensor, g: SignedPerm) -> SymPairTensor:
-    """Pullback action on covariant tensors: (g.h)(x...) = h(g^{-1} x...).
+def pullback(t: Tensor, g: SignedPerm) -> Tensor:
+    """Pullback action on covariant tensors: (g.t)(x...) = t(g^{-1} x...).
 
-    Equivalently, the component of h at a key moves to the image key
-    under g, weighted by the signs of the original indices.
+    Equivalently, the component of t at a key lands at the key's image
+    under g, times the signs of the key's indices.  A ``MultiTensor`` key
+    is one index tuple; a ``SymPairTensor`` key is two, (sym, pair), and
+    its constructor sorts their images again.
     """
+    multi = isinstance(t, MultiTensor)
+    perm, signs = g.perm, g.signs
     comps = {}
-    for (sym, pair), value in h.coeffs.items():
-        sign = 1
-        new_sym = []
-        for i in sym:
-            sign *= g.signs[i]
-            new_sym.append(g.perm[i])
-        new_pair = []
-        for i in pair:
-            sign *= g.signs[i]
-            new_pair.append(g.perm[i])
-        key = (tuple(sorted(new_sym)), tuple(sorted(new_pair)))
-        comps[key] = comps.get(key, 0) + sign * value
-    return SymPairTensor(h.space, h.k, comps)
+    for key, v in t.coeffs.items():
+        image = []
+        for part in (key,) if multi else key:
+            for i in part:
+                v *= signs[i]
+            image.append(tuple(perm[i] for i in part))
+        comps[image[0] if multi else tuple(image)] = v
+    return type(t)(*t._shape(), comps)
 
 
 def random_signed_perm(space: Space, rng) -> SignedPerm:

@@ -228,6 +228,28 @@ class TestExpandErrors:
         assert code == 2 and "error:" in err
 
 
+class TestOutputPaths:
+    """An output path that cannot be written is bad input: one error line, exit 2."""
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    def test_missing_directory(self, example_dir, tmp_path, capsys):
+        self.assert_refused(capsys, "expand", str(example_dir / "jet.json"),
+                            "-o", str(tmp_path / "missing" / "x.json"))
+
+    def test_directory_as_file(self, example_dir, tmp_path, capsys):
+        self.assert_refused(capsys, "jet", str(example_dir / "metric.json"), "-o", str(tmp_path))
+
+    def test_file_as_directory(self, tmp_path, capsys):
+        taken = tmp_path / "afile"
+        taken.write_text("kept\n")
+        self.assert_refused(capsys, "example", "--out", str(taken))
+        assert taken.read_text() == "kept\n"
+
+
 class TestRoundtripCommand:
     def test_random_metric(self, tmp_path, capsys):
         g = random_normal_metric(Space(2, (-1, 1)), 4, random.Random(5))

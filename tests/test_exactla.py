@@ -15,13 +15,19 @@ from jetiso.exactla import (
     RatMatrix,
     exact_quotient,
     format_rational,
-    mat_vec,
     nullspace_basis,
     parse_rational,
     rank,
     rref,
     solve_affine,
 )
+
+
+def mat_vec(m: RatMatrix, v):
+    """The product m v, row by row: the oracle of the solves."""
+    if len(v) != m.cols:
+        raise ValueError("vector length does not match column count")
+    return [sum((a * b for a, b in zip(m.row(i), v)), Fraction(0)) for i in range(m.rows)]
 
 
 def bareiss_rank(rows):

@@ -16,12 +16,10 @@ from jetiso.freealg import (
     compositions,
     evaluate,
     leading_coeff,
-    mul,
     pi_product,
     q_poly,
     qtilde_explicit,
     qtilde_recursive,
-    star,
     weighted_degree,
 )
 from jetiso.poly import Poly
@@ -106,13 +104,13 @@ class TestExplicitFormula:
 class TestStarSymmetry:
     @pytest.mark.parametrize("k", range(0, 9))
     def test_q_is_star_invariant(self, k):
-        assert star(q_poly(k)) == q_poly(k)
+        assert q_poly(k).star() == q_poly(k)
 
     @pytest.mark.parametrize("k", range(0, 9))
     def test_q_from_qtilde_convolution(self, k):
         acc = FreeElement.zero()
         for ell in range(k + 1):
-            term = mul(star(qtilde_recursive(ell)), qtilde_recursive(k - ell))
+            term = qtilde_recursive(ell).star() * qtilde_recursive(k - ell)
             acc = acc + term.scaled(F(comb(k, ell)))
         assert acc == q_poly(k)
 
@@ -129,17 +127,17 @@ class TestAlgebraLaws:
     @settings(max_examples=60)
     @given(elements, elements)
     def test_star_antihomomorphism(self, a, b):
-        assert star(mul(a, b)) == mul(star(b), star(a))
+        assert (a * b).star() == b.star() * a.star()
 
     @settings(max_examples=60)
     @given(elements)
     def test_star_involution(self, a):
-        assert star(star(a)) == a
+        assert a.star().star() == a
 
     @settings(max_examples=40)
     @given(elements, elements, elements)
     def test_associativity(self, a, b, c):
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert (a * b) * c == a * (b * c)
 
     def test_weighted_degree(self):
         assert weighted_degree(()) == 0

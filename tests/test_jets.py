@@ -21,7 +21,6 @@ import pytest
 from jetiso.jets import (
     CurvatureJet,
     InvalidJetError,
-    LinearJetComponent,
     MultiTensor,
     SymJet,
     Violation,
@@ -38,9 +37,6 @@ from jetiso.jets import (
     ricci_defect,
     symmetrize_component,
     symmetrize_jet,
-    transform_jet,
-    transform_multi_tensor,
-    transform_symjet,
     validate_jet,
     young_symmetrize,
 )
@@ -56,9 +52,9 @@ from jetiso.tensor import (
     SymPairTensor,
     curvature_jet_dim_bound,
     is_gauge_tensor,
+    pullback,
     random_signed_perm,
     sym_indices,
-    transform_pair_tensor,
 )
 
 F = Fraction
@@ -124,9 +120,9 @@ def reference_ricci_defect(jet, level, i):
     return lhs - rhs
 
 
-def padded_jet(c):
-    """The jet (0, ..., 0, T) of a linear jet component."""
-    return CurvatureJet(c.space, CurvatureJet.zero(c.space, c.k - 1).levels + [c.tensor])
+def padded_jet(t):
+    """The jet (0, ..., 0, T) of a linear jet component T."""
+    return CurvatureJet(t.space, CurvatureJet.zero(t.space, t.arity - 5).levels + [t])
 
 
 def reference_cyclic_sum(t, a):
@@ -263,7 +259,7 @@ class TestValidation:
         # adding a linear component to the top level preserves validity
         jet = oracle_jet(E2, 1, seed=5)
         for b in linear_jet_basis(E2, 1):
-            jet.levels[1] = jet.levels[1] + b.tensor
+            jet.levels[1] = jet.levels[1] + b
             break
         assert validate_jet(jet) == []
 
@@ -316,12 +312,12 @@ class TestLinearComponentValidation:
     def test_each_identity_reported(self, identity):
         # the first unit bump of a basis element, in index order, that breaks it
         b = linear_jet_basis(E3, 2)[0]
-        for idx in b.tensor.iter_indices():
-            t = b.tensor + MultiTensor(E3, 6, {idx: 1})
+        for idx in b.iter_indices():
+            t = b + MultiTensor(E3, 6, {idx: 1})
             want = reference_linear_violations(t, 2)
             if identity in {v.identity for v in want}:
                 break
-        got = validate_jet(padded_jet(LinearJetComponent(E3, 2, t)))
+        got = validate_jet(padded_jet(t))
         assert identity in {v.identity for v in got}
         assert by_identity(got) == by_identity(want)
 
@@ -332,12 +328,12 @@ class TestLinearComponentValidation:
         for k in (0, 1, 2):
             basis = linear_jet_basis(space, k)
             for _ in range(4):
-                t = rng.choice(basis).tensor
+                t = rng.choice(basis)
                 for _ in range(rng.randint(1, 3)):
                     idx = tuple(rng.randrange(space.n) for _ in range(k + 4))
                     value = F(rng.randint(-3, 3), rng.randint(1, 3))
                     t = t + MultiTensor(space, k + 4, {idx: value})
-                got = validate_jet(padded_jet(LinearJetComponent(space, k, t)))
+                got = validate_jet(padded_jet(t))
                 assert by_identity(got) == by_identity(reference_linear_violations(t, k))
 
 
@@ -528,8 +524,8 @@ class TestSymmetrize:
         jet = oracle_jet(L3, 2, seed=11)
         for _ in range(3):
             g = random_signed_perm(L3, rng)
-            lhs = symmetrize_jet(transform_jet(jet, g))
-            rhs = transform_symjet(symmetrize_jet(jet), g)
+            lhs = symmetrize_jet(jet.pullback(g))
+            rhs = symmetrize_jet(jet).pullback(g)
             assert all(a == b for a, b in zip(lhs.levels, rhs.levels))
 
 
@@ -598,8 +594,7 @@ class TestLinearTheory:
         for k in (0, 1, 2):
             for b in linear_jet_basis(space, k):
                 s = symmetrize_component(b)
-                back = reconstruct_linear(s)
-                assert back.tensor == b.tensor
+                assert reconstruct_linear(s) == b
 
     def test_reconstruction_other_direction(self):
         # starting from a gauge tensor: symmetrize(reconstruct(s)) == s
@@ -613,8 +608,7 @@ class TestLinearTheory:
                 s = SymPairTensor(space, k + 2)
                 for h in gauge_basis(space, k + 2):
                     s = s + h.scaled(F(rng.randint(-3, 3)))
-                c = reconstruct_linear(s)
-                assert symmetrize_component(c) == s
+                assert symmetrize_component(reconstruct_linear(s)) == s
 
     def test_hook_constants(self):
         assert [hook_constant(k) for k in range(4)] == [12, 24, 80, 360]
@@ -624,7 +618,7 @@ class TestLinearTheory:
             for k in (0, 1, 2):
                 c = hook_constant(k)
                 for b in linear_jet_basis(space, k):
-                    assert young_symmetrize(b.tensor) == b.tensor.scaled(c)
+                    assert young_symmetrize(b) == b.scaled(c)
 
     def test_young_eigenvalue_on_low_jet_levels(self):
         # levels 0 and 1 of a genuine jet are themselves linear components
@@ -639,7 +633,7 @@ class TestLinearTheory:
         coords = [F(rng.randint(-4, 4)) for _ in basis]
         t = MultiTensor.zero(E3, 5)
         for c, b in zip(coords, basis):
-            t = t + b.tensor.scaled(c)
+            t = t + b.scaled(c)
         assert component_span_solve(t, basis) == coords
         # something outside the span: break antisymmetry
         t.set((0, 0, 0, 0, 0), F(1))
@@ -731,7 +725,7 @@ class TestPinnedOutputs:
                 space = Space(n, signature)
                 for k in (0, 1, 2):
                     for b in linear_jet_basis(space, k):
-                        h.update(json.dumps(b.tensor.to_json_obj(), sort_keys=True).encode())
+                        h.update(json.dumps(b.to_json_obj(), sort_keys=True).encode())
                 for order in (0, 1):
                     s = random_symjet(space, order, random.Random(71 + 10 * n + order))
                     # the extension by the solve: a zero top level
@@ -748,26 +742,21 @@ class TestEquivariance:
             jet = oracle_jet(space, 2, seed=37)
             for _ in range(3):
                 g = random_signed_perm(space, rng)
-                assert validate_jet(transform_jet(jet, g)) == []
+                assert validate_jet(jet.pullback(g)) == []
 
     def test_multi_tensor_action_composition(self):
         rng = random.Random(41)
         t = oracle_jet(L3, 1, seed=43).levels[1]
         g = random_signed_perm(L3, rng)
         h = random_signed_perm(L3, rng)
-        lhs = transform_multi_tensor(transform_multi_tensor(t, h), g)
-        assert lhs == transform_multi_tensor(t, g.compose(h))
+        assert pullback(pullback(t, h), g) == pullback(t, g.compose(h))
 
     def test_pair_and_multi_actions_commute_with_symmetrize(self):
         rng = random.Random(47)
         jet = oracle_jet(E3, 1, seed=53)
-        c = LinearJetComponent(E3, 1, jet.levels[1])
+        t = jet.levels[1]
         g = random_signed_perm(E3, rng)
-        lhs = symmetrize_component(
-            LinearJetComponent(E3, 1, transform_multi_tensor(c.tensor, g))
-        )
-        rhs = transform_pair_tensor(symmetrize_component(c), g)
-        assert lhs == rhs
+        assert symmetrize_component(pullback(t, g)) == pullback(symmetrize_component(t), g)
 
 
 class TestJetContainers:
@@ -786,10 +775,6 @@ class TestJetContainers:
     def test_symjet_json_round_trip(self):
         s = symmetrize_jet(oracle_jet(E3, 2, seed=67))
         assert SymJet.from_json_obj(s.to_json_obj()) == s
-
-    def test_linear_component_arity_checked(self):
-        with pytest.raises(ValueError):
-            LinearJetComponent(E2, 1, MultiTensor.zero(E2, 4))
 
     def test_jet_kinds_never_equal(self):
         assert CurvatureJet(E2, []) != SymJet(E2, [])

@@ -25,7 +25,6 @@ from jetiso.metriclab import (
     _covariant_derivative_dict,
     _integral_metric,
     _lowered_curvature_dict,
-    check_normal_gauge,
     christoffel_series,
     const_curvature_symjet,
     curvature_jet_at_origin,
@@ -44,13 +43,14 @@ from jetiso.tensor import (
     PolyEnd,
     Space,
     SymPairTensor,
-    end_to_pair,
-    eval_pair,
     gauge_basis,
     multiset_count,
     pair_to_end,
+    pullback,
+    random_signed_perm,
 )
 from test_jets import reference_symmetrize_level
+from test_tensor import check_normal_gauge, end_to_pair, eval_pair
 
 F = Fraction
 
@@ -568,6 +568,32 @@ class TestMetricFromSymjet:
             g2 = metric_from_symjet(symmetrize_jet(jet))
             for d in range(2, 6):
                 assert g2.part(d) == g.part(d)
+
+
+NATURALITY_SPACES = {"e3": E3, "l3": L3, "e4": Space(4, (1, 1, 1, 1)), "l4": L4}
+
+
+class TestNaturality:
+    """Both production routes commute with signature-preserving signed
+    permutations: pulling the input back pulls the output back."""
+
+    @pytest.mark.parametrize("name", sorted(NATURALITY_SPACES))
+    def test_routes_commute_with_pullback(self, name):
+        space = NATURALITY_SPACES[name]
+        order = 2
+        rng = random.Random(90 + space.n + space.signature[0])
+        g = random_normal_metric(space, order + 2, rng, coeff_bound=2)
+        s = random_symjet(space, order, rng, coeff_bound=2)
+        jet = curvature_jet_at_origin(g, order)
+        metric = metric_from_symjet(s)
+        for _ in range(2):
+            q = random_signed_perm(space, rng)
+            moved = PolyMetric(space, {d: pullback(h, q) for d, h in g.parts.items()})
+            assert jet.pullback(q) != jet
+            assert curvature_jet_at_origin(moved, order) == jet.pullback(q)
+            moved = PolyMetric(space, {d: pullback(h, q) for d, h in metric.parts.items()})
+            assert moved != metric
+            assert metric_from_symjet(s.pullback(q)) == moved
 
 
 class TestTransport:
