@@ -53,6 +53,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _load_jet_like(path):

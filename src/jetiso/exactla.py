@@ -11,7 +11,7 @@ digits: those are counted from the text and refused before any int or
 power of ten is built from it.  ``exact_quotient`` is the division that
 keeps an integral quotient an int.
 
-Matrices are small and dense.  Reduction is classical Gauss-Jordan with
+Matrices are small and dense, held as lists of rows.  Reduction is classical Gauss-Jordan with
 exact pivots, which is plenty here because every large system in the
 package is split into tiny blocks before it reaches this module.
 """
@@ -83,55 +83,28 @@ def format_rational(value) -> str:
 
 
 class RatMatrix:
-    """Dense matrix of rationals, stored row-major."""
+    """Dense matrix of rationals: its shape and a list of rows."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
+    def __init__(self, rows, cols):
+        """The matrix whose rows are the lists ``rows``, each of ``cols``
+        entries; no rows make a 0 x cols matrix."""
+        # keep everything Fraction so later divisions stay exact
+        self.data = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+        if any(len(row) != cols for row in self.data):
+            raise ValueError("ragged rows")
+        self.rows = len(self.data)
         self.cols = cols
-        if data is None:
-            self.data = [Fraction(0)] * (rows * cols)
-        else:
-            if len(data) != rows * cols:
-                raise ValueError("data length does not match shape")
-            # keep everything Fraction so later divisions stay exact
-            self.data = [x if type(x) is Fraction else Fraction(x) for x in data]
 
     @classmethod
     def from_rows(cls, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i * n + i] = Fraction(1)
-        return m
-
-    def at(self, i, j):
-        return self.data[i * self.cols + j]
-
-    def set_at(self, i, j, value):
-        self.data[i * self.cols + j] = value if type(value) is Fraction else Fraction(value)
-
-    def row(self, i):
-        return self.data[i * self.cols:(i + 1) * self.cols]
-
-    def iter_rows(self):
-        for i in range(self.rows):
-            yield self.row(i)
+        """The matrix with these rows; its width is the first row's."""
+        return cls(rows, len(rows[0]) if rows else 0)
 
     def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+        return (isinstance(other, RatMatrix) and self.cols == other.cols
+                and self.data == other.data)
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -142,19 +115,20 @@ def rref(m: RatMatrix):
 
     Returns ``(reduced, pivot_cols)``.  Pivots are the first nonzero
     entry in each column sweep; with exact arithmetic no pivoting
-    strategy is needed for correctness.
+    strategy is needed for correctness.  Each step replaces whole rows,
+    so the rows of ``m`` are never written.
     """
-    rows = [list(r) for r in m.iter_rows()]
-    nr, nc = m.rows, m.cols
+    rows = list(m.data)
+    nr = m.rows
     pivots = []
     r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
+    for c in range(m.cols):
+        if r == nr:
+            break
+        for pr in range(r, nr):
+            if rows[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
@@ -164,19 +138,10 @@ def rref(m: RatMatrix):
         for i in range(nr):
             f = rows[i][c]
             if i != r and f:
-                ri = rows[i]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
-    flat = [x for row in rows for x in row]
-    return RatMatrix(nr, nc, flat), pivots
-
-
-def rank(m: RatMatrix) -> int:
-    _, pivots = rref(m)
-    return len(pivots)
+    return RatMatrix(rows, m.cols), pivots
 
 
 def nullspace_basis(m: RatMatrix):
@@ -186,14 +151,12 @@ def nullspace_basis(m: RatMatrix):
     vector and zero in the others, so results are deterministic.
     """
     red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in sorted(set(range(m.cols)) - set(pivots)):
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red.at(i, f)
+        for row, p in zip(red.data, pivots):
+            v[p] = -row[f]
         basis.append(v)
     return basis
 
@@ -206,17 +169,10 @@ def solve_affine(a: RatMatrix, b):
     """
     if len(b) != a.rows:
         raise ValueError("rhs length does not match row count")
-    aug = RatMatrix(a.rows, a.cols + 1)
-    for i in range(a.rows):
-        row = a.row(i)
-        for j in range(a.cols):
-            aug.set_at(i, j, row[j])
-        aug.set_at(i, a.cols, Fraction(b[i]))
-    red, pivots = rref(aug)
+    red, pivots = rref(RatMatrix([row + [rhs] for row, rhs in zip(a.data, b)], a.cols + 1))
     if pivots and pivots[-1] == a.cols:
         return None
     x = [Fraction(0)] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.at(i, a.cols)
+    for row, p in zip(red.data, pivots):
+        x[p] = row[-1]
     return x
-

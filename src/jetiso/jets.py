@@ -545,37 +545,31 @@ def young_symmetrize(t: MultiTensor) -> MultiTensor:
 # the Bianchi constraint system: linear jet basis and extension by solve
 
 
-def _canonical_curvature_index(idx, k):
+def _canonical_curvature_index(idx):
     """Canonical form of an index tuple under the curvature symmetries.
 
-    The four curvature slots after the k derivative slots run over their
-    eight-element sign group; the derivative slots are left as they
-    are.  Returns (canonical_tuple, sign) or None when the orbit forces
-    the component to zero.
+    The four curvature slots at the end run over their eight-element sign
+    group; the derivative slots before them are left as they are.  The
+    least image is the sign representative (a < b, c < d) or its pair
+    exchange, both with the representative's sign, and the orbit forces
+    the component to zero exactly when a pair holds equal indices.
+    Returns (canonical_tuple, sign) or None when it does.
     """
-    lead = idx[:k]
-    a, b, c, d = idx[k:]
-    seen = {}
-    for (p, q, s1) in ((a, b, 1), (b, a, -1)):
-        for (r, t, s2) in ((c, d, 1), (d, c, -1)):
-            sign = s1 * s2
-            for blocks in ((p, q, r, t), (r, t, p, q)):
-                cand = lead + blocks
-                prev = seen.get(cand)
-                if prev is None:
-                    seen[cand] = sign
-                elif prev != sign:
-                    return None
-    best = min(seen)
-    return best, seen[best]
+    res = _sign_representative(idx)
+    if res is None:
+        return None
+    rep, sign = res
+    return min(rep, rep[:-4] + rep[-2:] + rep[-4:-2]), sign
 
 
 def _bianchi_system(space: Space, k: int, symmetric: bool, extra_rows=()):
     """The Bianchi identities at level k as blocked integer systems.
 
     Unknowns are the classes of (k+4)-index tuples under the curvature
-    sign group, and also under permutations of the derivative slots when
-    ``symmetric`` is set (linear jet components).  Rows are the first
+    sign group, keyed by ``_canonical_curvature_index`` on the sign
+    representatives that the validator and the series route store, and
+    also under permutations of the derivative slots when ``symmetric``
+    is set (linear jet components).  Rows are the first
     and second Bianchi identities with zero right side, plus
     ``extra_rows``, an iterable of ([(index, coeff), ...], rhs) pairs.
     Each row is reduced to primitive integer form with its first
@@ -585,14 +579,16 @@ def _bianchi_system(space: Space, k: int, symmetric: bool, extra_rows=()):
 
     Returns (canon, blocks): canon maps each index tuple to
     (class, sign) or None, and blocks holds one (classes, RatMatrix,
-    rhs) per content, in sorted content order.
+    rhs) per content, in sorted content order.  A block's matrix has
+    one column per class even when no row falls in its content, so
+    every class there is free.
     """
     n = space.n
     canon = {}
     classes = defaultdict(set)
     for idx in itertools.product(range(n), repeat=k + 4):
         key = tuple(sorted(idx[:k])) + idx[k:] if symmetric else idx
-        res = canon[idx] = _canonical_curvature_index(key, k)
+        res = canon[idx] = _canonical_curvature_index(key)
         if res is not None:
             classes[content_of(res[0], n)].add(res[0])
 
@@ -632,13 +628,12 @@ def _bianchi_system(space: Space, k: int, symmetric: bool, extra_rows=()):
     blocks = []
     for cont in sorted(classes):
         cols = sorted(classes[cont])
-        col_index = {key: i for i, key in enumerate(cols)}
         system = sorted(rows[cont])
-        matrix = RatMatrix(len(system), len(cols))
-        for r, (row, _) in enumerate(system):
-            for key, c in row:
-                matrix.set_at(r, col_index[key], c)
-        blocks.append((cols, matrix, [rhs for _, rhs in system]))
+        dense = []
+        for row, _ in system:
+            terms = dict(row)
+            dense.append([terms.get(key, 0) for key in cols])
+        blocks.append((cols, RatMatrix(dense, len(cols)), [rhs for _, rhs in system]))
     return canon, blocks
 
 
@@ -696,9 +691,8 @@ def component_span_solve(t: MultiTensor, basis):
         for bi in members:
             support.update(basis[bi].coeffs)
         support = sorted(support)
-        rows = [[Fraction(basis[bi].get(idx)) for bi in members] for idx in support]
-        rhs = [Fraction(t.get(idx)) for idx in support]
-        x = solve_affine(RatMatrix.from_rows(rows), rhs)
+        rows = [[basis[bi].get(idx) for bi in members] for idx in support]
+        x = solve_affine(RatMatrix(rows, len(members)), [t.get(idx) for idx in support])
         if x is None:
             return None
         for bi, value in zip(members, x):

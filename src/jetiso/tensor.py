@@ -299,7 +299,7 @@ def _gauge_basis_cached(space: Space, k: int):
             weight = multiset_count(sym)
             for key in _radial_keys(sym, pair):
                 rows[key][ci] += weight
-        for vec in nullspace_basis(RatMatrix.from_rows(list(rows.values()))):
+        for vec in nullspace_basis(RatMatrix(list(rows.values()), len(cols))):
             comps = {cols[ci]: v for ci, v in enumerate(vec) if v}
             basis.append(SymPairTensor(space, k, comps))
     return tuple(basis)

@@ -346,6 +346,16 @@ class TestInputContract:
         code, _, err = run(capsys, "example", "--kappa", "1e999999999", "--out", str(tmp_path))
         assert code == 2 and "error: bad curvature value '1e999999999'" in err
 
+    # expand reads through _load_jet_like, jet through _load_metric
+    @pytest.mark.parametrize("command", ["expand", "jet"])
+    def test_deeply_nested_json(self, command, tmp_path, capsys):
+        # the decoder recurses once per bracket
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100000)
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {f} is not valid JSON: nested too deeply\n"
+
     @pytest.mark.parametrize("kind", sorted(COMMANDS))
     def test_int_values_read_as_strings(self, kind, tmp_path, capsys):
         doc = copy.deepcopy(N2_DOCS[kind])

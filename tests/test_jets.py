@@ -24,6 +24,7 @@ from jetiso.jets import (
     MultiTensor,
     SymJet,
     Violation,
+    _canonical_curvature_index,
     _integral_dilation,
     _sign_split,
     _symmetrize_level,
@@ -577,7 +578,29 @@ class TestSymmetrizeReference:
             assert is_gauge_tensor(got) == (bump is None), level
 
 
+def enumerated_curvature_class(idx, k):
+    """The least of the eight images of idx under the sign group of its
+    last four slots, with its sign, or None when two images of one tuple
+    carry opposite signs: the oracle of ``_canonical_curvature_index``."""
+    lead = idx[:k]
+    a, b, c, d = idx[k:]
+    seen = {}
+    for (p, q, s1) in ((a, b, 1), (b, a, -1)):
+        for (r, t, s2) in ((c, d, 1), (d, c, -1)):
+            for blocks in ((p, q, r, t), (r, t, p, q)):
+                cand = lead + blocks
+                if seen.setdefault(cand, s1 * s2) != s1 * s2:
+                    return None
+    best = min(seen)
+    return best, seen[best]
+
+
 class TestLinearTheory:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_canonical_class_matches_enumeration(self, k):
+        for idx in itertools.product(range(3), repeat=k + 4):
+            assert _canonical_curvature_index(idx) == enumerated_curvature_class(idx, k), idx
+
     @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
     def test_basis_size_matches_bound(self, n, k):
         space = Space(n, (1,) * n)
