@@ -125,12 +125,13 @@ def cmd_expand(args):
     loaded = _load_jet_like(args.file)
     if args.order is not None and args.order < 0:
         raise InputError("need order >= 0")
-    s = symmetrize_jet(loaded) if isinstance(loaded, CurvatureJet) else loaded
-    max_degree = s.order + 2
+    # both jet kinds of order k determine the expansion through degree k + 2
+    max_degree = loaded.order + 2
     order = args.order if args.order is not None else max_degree
     if order > max_degree:
         raise InputError(f"the input only determines the expansion through "
                          f"degree {max_degree}, requested {order}")
+    s = symmetrize_jet(loaded) if isinstance(loaded, CurvatureJet) else loaded
     g = metric_from_symjet(s)
     parts = {d: h for d, h in g.parts.items() if d <= order}
     _dump_json(PolyMetric(g.space, parts).to_json_obj(), args.out)

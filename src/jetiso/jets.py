@@ -30,11 +30,13 @@ of arrangements times t^(l+2).
 Linear jet components are the jets of the special form (0, ..., 0, T),
 each held as its top tensor T, a plain ``MultiTensor`` of arity k + 4;
 for those the derivative slots are fully symmetric and the only other
-constraints are the Bianchi identities, which ``validate_jet`` checks on
-that jet (its Ricci right sides read only the zero lower levels).  They
-are reconstructed from their total symmetrization by a Kulkarni-Nomizu
-product, and the Young symmetrizer of hook shape acts on them by an
-explicit integer eigenvalue.
+constraints are the Bianchi identities.  A tensor T is one exactly when
+``validate_jet`` passes (0, ..., 0, T), the one membership test (its
+Ricci right sides read only the zero lower levels); ``linear_jet_basis``
+solves the same constraints independently, as an oracle.  Linear
+components are reconstructed from their total symmetrization by a
+Kulkarni-Nomizu product, and the Young symmetrizer of hook shape acts
+on them by an explicit integer eigenvalue.
 
 Both jet kinds are pulled back by a signed permutation level by level,
 through the one ``tensor.pullback`` (``Jet.pullback``).
@@ -54,8 +56,8 @@ from .tensor import (
     MultiTensor,
     Space,
     SymPairTensor,
-    _sign_images,
     _sign_representative,
+    _unfold,
     content_of,
     int_field,
     is_gauge_tensor,
@@ -328,8 +330,8 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
     and the exchange of derivative slots commute with the swaps of the
     last two slot pairs.  So each level is split by ``_sign_split``: the
     consistent orbits enter through their representatives alone, each
-    acted key folded back to its representative, and the result is
-    written to its four sign images; the rest enters in full.
+    acted key folded back to its representative, and the result leaves
+    them through ``_unfold``; the rest enters in full.
 
     Vanishes identically on jets of metrics.
     """
@@ -353,13 +355,9 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
             placements.append(sorted(range(p), key=order.__getitem__))
         forms.append((placements, [(head, MultiTensor(jet.space, 2, comps))
                                    for head, comps in by_head.items()]))
-    out = defaultdict(int)
-    for idx, v in _exchange_defect(reps, forms, level, p, True).items():
-        if v:
-            for image, sign in _sign_images(idx):
-                out[image] = sign * v
+    out = _unfold(_exchange_defect(reps, forms, level, p, True))
     for idx, v in _exchange_defect(rest, forms, level, p, False).items():
-        out[idx] += v
+        out[idx] = out.get(idx, 0) + v
     return jet.levels[level]._with({idx: v for idx, v in out.items() if v})
 
 
@@ -639,13 +637,8 @@ def _bianchi_system(space: Space, k: int, symmetric: bool, extra_rows=()):
 
 def _scatter(space: Space, k: int, canon, values) -> MultiTensor:
     """Dense level-k tensor from values on canonical classes."""
-    out = MultiTensor.zero(space, k + 4)
-    for idx, res in canon.items():
-        if res is not None:
-            v = values.get(res[0])
-            if v:
-                out.set(idx, res[1] * v)
-    return out
+    return MultiTensor(space, k + 4, {idx: res[1] * v for idx, res in canon.items()
+                                      if res is not None and (v := values.get(res[0]))})
 
 
 def linear_jet_basis(space: Space, k: int):
@@ -658,46 +651,6 @@ def linear_jet_basis(space: Space, k: int):
     return [_scatter(space, k, canon, dict(zip(cols, vec)))
             for cols, matrix, _ in blocks
             for vec in nullspace_basis(matrix)]
-
-
-def component_span_solve(t: MultiTensor, basis):
-    """Coordinates of t in the span of basis components, or None.
-
-    Exploits that every basis element produced here is supported on a
-    single index content, so the solve splits into small blocks.
-    """
-    if not basis:
-        return [] if t.is_zero() else None
-    n = t.space.n
-
-    basis_by_content = defaultdict(list)
-    for bi, b in enumerate(basis):
-        contents = {content_of(idx, n) for idx in b.coeffs}
-        if len(contents) != 1:
-            raise ValueError("basis element is not content-homogeneous")
-        basis_by_content[contents.pop()].append(bi)
-
-    target_by_content = defaultdict(list)
-    for idx in t.coeffs:
-        target_by_content[content_of(idx, n)].append(idx)
-
-    coords = [Fraction(0)] * len(basis)
-    for cont in sorted(set(basis_by_content) | set(target_by_content)):
-        members = basis_by_content.get(cont, [])
-        if not members:
-            # nothing spans this content, so t must vanish there
-            return None
-        support = set(target_by_content.get(cont, ()))
-        for bi in members:
-            support.update(basis[bi].coeffs)
-        support = sorted(support)
-        rows = [[basis[bi].get(idx) for bi in members] for idx in support]
-        x = solve_affine(RatMatrix(rows, len(members)), [t.get(idx) for idx in support])
-        if x is None:
-            return None
-        for bi, value in zip(members, x):
-            coords[bi] = value
-    return coords
 
 
 # ---------------------------------------------------------------------------

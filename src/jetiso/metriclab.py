@@ -43,8 +43,8 @@ from .tensor import (
     PolyEnd,
     Space,
     SymPairTensor,
-    _sign_images,
     _sign_representative,
+    _unfold,
     end_pair_sums,
     gauge_basis,
     int_field,
@@ -277,8 +277,8 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
 
     The series run on ``_integral_metric(g)``, whose level l is t**(l+2)
     times g's, so each level's constant terms are divided by t**(l+2).
-    They are carried on sign representatives (``_sign_representative``);
-    each level's constant terms are written to all four sign images.
+    They are carried on sign representatives (``_sign_representative``),
+    and each level's constant terms leave them through ``_unfold``.
     """
     space = g.space
     n = space.n
@@ -288,15 +288,9 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
     levels = []
     level_trunc = order
     for level in range(order + 1):
-        tensor = MultiTensor.zero(space, level + 4)
         scale = t ** (level + 2)
-        for idx, p in cur.items():
-            c = p.constant_term()
-            if c:
-                c = exact_quotient(c, scale)
-                for image, sign in _sign_images(idx):
-                    tensor.set(image, sign * c)
-        levels.append(tensor)
+        reps = {idx: exact_quotient(p.constant_term(), scale) for idx, p in cur.items()}
+        levels.append(MultiTensor(space, level + 4, _unfold(reps)))
         if level < order:
             level_trunc -= 1
             cur = _covariant_derivative_dict(cur, level + 4, gamma, n, level_trunc)

@@ -30,7 +30,8 @@ value at the distinct arrangements of its multiset and orders of its
 pair, with the signs of the two antisymmetric slot pairs, so its work
 follows the stored components and not the n^(k+4) output indices.
 Those signs, of representatives a < b, c < d of the last four slots and
-their images, have one home, ``_sign_representative`` and ``_sign_images``.
+their images, have one home, ``_sign_representative`` and ``_sign_images``;
+a level held on its representatives leaves them through ``_unfold``.
 
 A signed permutation acts on both containers by one ``pullback``.
 """
@@ -393,6 +394,13 @@ def _sign_images(idx):
     head, (a, b, c, d) = idx[:-4], idx[-4:]
     return ((head + (a, b, c, d), 1), (head + (b, a, c, d), -1),
             (head + (a, b, d, c), -1), (head + (b, a, d, c), 1))
+
+
+def _unfold(reps):
+    """The entries of the level whose sign representatives are ``reps``:
+    each nonzero value at its four ``_sign_images``, with their signs;
+    a zero writes nothing."""
+    return {image: sign * v for idx, v in reps.items() if v for image, sign in _sign_images(idx)}
 
 
 def kulkarni(h: SymPairTensor):

@@ -186,6 +186,17 @@ class TestExpandErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_order_refused_before_validation(self, example_dir, tmp_path, capsys):
+        # an out-of-range argument exits 2 without validating the jet it is about
+        obj = json.loads((example_dir / "jet.json").read_text())
+        obj["levels"][0]["components"][0]["value"] = "1/7"
+        bad = tmp_path / "broken.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "expand", str(bad), "--order", "99")
+        assert code == 2 and out == ""
+        assert "only determines the expansion through degree 4" in err
+        assert len(err.splitlines()) == 1 and "level=" not in err
+
     def test_negative_order(self, example_dir, capsys):
         code, out, err = run(capsys, "expand", str(example_dir / "symjet.json"),
                              "--order", "-1")

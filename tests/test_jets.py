@@ -29,7 +29,6 @@ from jetiso.jets import (
     _sign_split,
     _symmetrize_level,
     _worst_index,
-    component_span_solve,
     derivation_apply,
     hook_constant,
     jet_from_symjet,
@@ -51,6 +50,7 @@ from jetiso.metriclab import (
 from jetiso.tensor import (
     Space,
     SymPairTensor,
+    _unfold,
     curvature_jet_dim_bound,
     is_gauge_tensor,
     pullback,
@@ -503,6 +503,17 @@ class TestSignConsistentMutations:
         assert set(rest) == orbit | {diagonal}
         assert idx not in reps and 4 * len(reps) == len(broken.coeffs) - len(rest)
 
+    @pytest.mark.parametrize("space,order", [(E3, 3), (L3, 3), (Space(4, (1, 1, 1, 1)), 2),
+                                             (Space(4, (-1, 1, 1, 1)), 2)],
+                             ids=["e3", "l3", "e4", "l4"])
+    def test_unfold_inverts_the_split(self, space, order):
+        for t in oracle_jet(space, order, seed=29).levels:
+            reps, rest = _sign_split(t)
+            assert rest == {} and _unfold(reps) == t.coeffs
+
+    def test_unfold_skips_zeros(self):
+        assert _unfold({(0, 1, 0, 1): 0}) == {}
+
 
 class TestSymmetrize:
     def test_constant_curvature_concentrates(self):
@@ -650,17 +661,17 @@ class TestLinearTheory:
             t = jet.levels[k]
             assert young_symmetrize(t) == t.scaled(hook_constant(k))
 
-    def test_span_solve(self):
+    def test_membership_is_validation(self):
+        # an integer combination of the basis is a linear jet component
         rng = random.Random(19)
-        basis = linear_jet_basis(E3, 1)
-        coords = [F(rng.randint(-4, 4)) for _ in basis]
         t = MultiTensor.zero(E3, 5)
-        for c, b in zip(coords, basis):
-            t = t + b.scaled(c)
-        assert component_span_solve(t, basis) == coords
+        for b in linear_jet_basis(E3, 1):
+            t = t + b.scaled(rng.randint(-4, 4))
+        assert not t.is_zero()
+        assert validate_jet(padded_jet(t)) == []
         # something outside the span: break antisymmetry
-        t.set((0, 0, 0, 0, 0), F(1))
-        assert component_span_solve(t, basis) is None
+        t = t + MultiTensor(E3, 5, {(0, 0, 0, 0, 0): 1})
+        assert "antisymmetry" in {v.identity for v in validate_jet(padded_jet(t))}
 
 
 class TestExtension:
@@ -683,8 +694,7 @@ class TestExtension:
             # the source metric's own jet extends it too, up to a linear component
             own = curvature_jet_at_origin(g, order + 1)
             diff = own.levels[order + 1] - ext.levels[order + 1]
-            basis = linear_jet_basis(space, order + 1)
-            assert component_span_solve(diff, basis) is not None
+            assert validate_jet(padded_jet(diff)) == []
 
     def test_invalid_jet_raises_with_its_violations(self):
         jet = oracle_jet(E2, 1, seed=3)
