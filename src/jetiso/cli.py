@@ -18,7 +18,7 @@ from .freealg import q_poly, qtilde_poly
 from .jets import CurvatureJet, InvalidJetError, SymJet, symmetrize_jet
 from .metriclab import (
     PolyMetric,
-    const_curvature_symjet,
+    const_curvature_jet,
     curvature_jet_at_origin,
     metric_from_symjet,
 )
@@ -212,9 +212,9 @@ def cmd_example(args):
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}") from exc
-    s = const_curvature_symjet(space, kappa, args.order)
+    jet = const_curvature_jet(space, kappa, args.order)
+    s = symmetrize_jet(jet)
     g = metric_from_symjet(s)
-    jet = curvature_jet_at_origin(g, args.order)
     _dump_json(s.to_json_obj(), os.path.join(args.out, "symjet.json"))
     _dump_json(jet.to_json_obj(), os.path.join(args.out, "jet.json"))
     _dump_json(g.to_json_obj(), os.path.join(args.out, "metric.json"))

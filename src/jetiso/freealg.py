@@ -65,10 +65,6 @@ class FreeElement(Sparse):
         self.coeffs = {_check_word(word): Fraction(c) for word, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({(): 1})
 

@@ -172,18 +172,28 @@ def christoffel_series(g: PolyMetric, trunc: int) -> list:
     Gamma^i_{jk} = sum_l g^{il} L_jk[l] / 2, where
     L_jk[l] = d_j g_lk + d_k g_jl - d_l g_jk is symmetric in (j, k), so
     Gamma_j = g^{-1} L_j / 2, where L_j has entries (l, k) = L_jk[l], is
-    formed on the columns k >= j and mirrored.  The halving is exact and
-    leaves an integral coefficient an int.
+    formed on the columns k >= j and mirrored, and only on the slots a
+    stored derivative reaches: (l, k) of d_j g, and (l, a) and (a, k) for
+    each stored (j, l) or (j, k) of d_a g.  The halving is exact and leaves
+    an integral coefficient an int.
     """
     space = g.space
     n = space.n
     ginv = inverse_series(g, trunc)
     metric = metric_form_series(g, trunc + 1)
     dg = [metric.diff(a) for a in range(n)]
+    # reached[j]: (a, c) for each stored (j, c) of d_a g
+    reached = [[] for _ in range(n)]
+    for a in range(n):
+        for r, c in dg[a].coeffs:
+            reached[r].append((a, c))
     gamma = [{} for _ in range(n)]
     for j in range(n):
+        slots = set(dg[j].coeffs)
+        for a, c in reached[j]:
+            slots.update(((c, a), (a, c)))
         lowered = PolyEnd(space, {(l, k): dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
-                                  for l in range(n) for k in range(j, n)})
+                                  for l, k in sorted(slots) if k >= j})
         for (i, k), p in ginv.mul(lowered, trunc).coeffs.items():
             entry = p._with({m: exact_quotient(c, 2) for m, c in p.coeffs.items()})
             gamma[j][(i, k)] = gamma[k][(i, j)] = entry
@@ -387,32 +397,18 @@ def parallel_transport_series(g: PolyMetric, trunc: int) -> PolyEnd:
 # stock examples and random generators
 
 
-def const_curvature_symjet(space: Space, kappa, order: int) -> SymJet:
-    """Symmetrized jet of the constant-curvature model metric.
+def const_curvature_jet(space: Space, kappa, order: int) -> CurvatureJet:
+    """Curvature jet of the constant-curvature model metric.
 
-    Level zero is kappa times the symmetrized metric curvature pattern;
-    all higher levels vanish.
+    Level zero is R(a, b, b, a) = kappa eps_a eps_b = -R(a, b, a, b) for
+    a != b, and 0 elsewhere; the model is locally symmetric, so every
+    higher level vanishes.
     """
-    kappa = Fraction(kappa)
-    n = space.n
-
-    def ip(a, b):
-        return space.eps(a) if a == b else 0
-
-    comps = {}
-    half = Fraction(1, 2)
-    for sym in itertools.combinations_with_replacement(range(n), 2):
-        u, v = sym
-        for pair in itertools.combinations_with_replacement(range(n), 2):
-            p, q = pair
-            val = kappa * (ip(u, v) * ip(p, q)
-                           - half * (ip(p, u) * ip(v, q) + ip(p, v) * ip(u, q)))
-            if val:
-                comps[(sym, pair)] = val
-    levels = [SymPairTensor(space, 2, comps)]
-    for level in range(1, order + 1):
-        levels.append(SymPairTensor.zero(space, level + 2))
-    return SymJet(space, levels)
+    level0 = {idx: sign * kappa * space.eps(a) * space.eps(b)
+              for a, b in itertools.permutations(range(space.n), 2)
+              for idx, sign in (((a, b, b, a), 1), ((a, b, a, b), -1))}
+    return CurvatureJet(space, [MultiTensor(space, 4, level0)]
+                        + [MultiTensor(space, level + 4) for level in range(1, order + 1)])
 
 
 def _random_gauge_tensor(space: Space, degree: int, rng, coeff_bound: int) -> SymPairTensor:

@@ -40,11 +40,16 @@ class Sparse:
     Values are numbers or ``Poly``.  A subclass names its shape (the
     fields beyond ``coeffs``) in its own ``__slots__``; sums, negatives
     and scalar multiples keep the shape and never store a zero.
-    Arithmetic returns new objects; only ``MultiTensor.set`` writes in
-    place.
+    Every object is built once, from its entries: arithmetic returns new
+    objects and no method writes in place.
     """
 
     __slots__ = ("coeffs",)
+
+    @classmethod
+    def zero(cls, *shape):
+        """The empty combination of this type and shape."""
+        return cls(*shape)
 
     def _with(self, coeffs):
         """A new object of this type and shape holding ``coeffs``."""
@@ -104,10 +109,6 @@ class Poly(Sparse):
     def __init__(self, n, coeffs=None):
         self.n = n
         self.coeffs = {mono: c for mono, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
 
     @classmethod
     def const(cls, n, value):

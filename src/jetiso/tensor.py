@@ -147,10 +147,6 @@ class Tensor(Sparse):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, space, size):
-        return cls(space, size)
-
     def to_json_obj(self):
         space, size = self._shape()
         return {
@@ -316,8 +312,8 @@ def gauge_basis(space: Space, k: int):
 class MultiTensor(Tensor):
     """m-linear form over the space, sparse on full index tuples.
 
-    ``get`` reads a missing component as 0 and ``set`` of a zero
-    deletes it, so ``coeffs`` stays zero-free.
+    Built once from its entries, zeros dropped; ``get`` reads a missing
+    component as 0.
     """
 
     __slots__ = ("space", "arity")
@@ -330,12 +326,6 @@ class MultiTensor(Tensor):
 
     def get(self, idx):
         return self.coeffs.get(idx, 0)
-
-    def set(self, idx, value):
-        if value:
-            self.coeffs[idx] = value
-        else:
-            self.coeffs.pop(idx, None)
 
     def iter_indices(self):
         """Every index tuple, zeros included, in lexicographic order."""
@@ -449,10 +439,6 @@ class PolyEnd(Sparse):
         self.coeffs = {key: p for key, p in (entries or {}).items() if p}
 
     @classmethod
-    def zero(cls, space):
-        return cls(space)
-
-    @classmethod
     def diagonal(cls, space, values):
         n = space.n
         return cls(space, {(i, i): Poly.const(n, v) for i, v in enumerate(values)})
@@ -483,16 +469,19 @@ class PolyEnd(Sparse):
     def mul(self, other, trunc=None):
         """Composition self(other(v)), dropping degrees above ``trunc``.
 
-        Each entry is graded by degree once, and each output entry
-        accumulates its products in one dict (``poly._graded_mul_into``).
+        Each entry with a partner is graded by degree once, and each output
+        entry accumulates its products in one dict (``poly._graded_mul_into``).
         """
         rows = defaultdict(list)
         for (m, j), q in other.coeffs.items():
             rows[m].append((j, _graded(q.coeffs, trunc)))
         out = defaultdict(dict)
         for (i, m), p in self.coeffs.items():
+            row = rows.get(m)
+            if row is None:
+                continue
             graded = _graded(p.coeffs, trunc)
-            for j, q in rows.get(m, ()):
+            for j, q in row:
                 _graded_mul_into(out[(i, j)], graded, q, trunc)
         zero = Poly.zero(self.space.n)
         return self._with({key: zero._with(coeffs) for key, coeffs in out.items() if coeffs})

@@ -286,11 +286,10 @@ def suite_validator(n: int, max_k: int, seed: int = 0):
 
 def _detects_all(jet, probes):
     """Whether ``validate_jet`` reports every mutation of the jet: a probe
-    (level, terms) raises the entry at each idx of terms by its sign."""
+    (level, terms) adds to the level the tensor whose entries are ``terms``,
+    (idx, sign) pairs with distinct indices."""
     for level, terms in probes:
-        t = MultiTensor(jet.space, level + 4, jet.levels[level].coeffs)
-        for idx, sign in terms:
-            t.set(idx, t.get(idx) + sign)
+        t = jet.levels[level] + MultiTensor(jet.space, level + 4, dict(terms))
         if not validate_jet(CurvatureJet(jet.space, jet.levels[:level] + [t] + jet.levels[level + 1:])):
             return False
     return True

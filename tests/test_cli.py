@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 failed verification, 2 bad input.
 """
 
 import copy
+import functools
 import hashlib
 import json
 import random
@@ -20,7 +21,7 @@ from jetiso.metriclab import (
     metric_from_symjet,
     random_normal_metric,
 )
-from jetiso.tensor import Space, SymPairTensor
+from jetiso.tensor import MultiTensor, Space, SymPairTensor
 
 
 def run(capsys, *argv):
@@ -275,18 +276,23 @@ class TestRoundtripCommand:
         assert code == 2 and "error:" in err and out == ""
 
 
-def _n2_documents():
-    """Valid n=2 metric (degree 3), jet and symjet (order 1) documents."""
+@functools.cache
+def n2_documents():
+    """Valid n=2 metric (degree 3), jet and symjet (order 1) documents.
+
+    Built on first use, not at import, so a fault in the conversions fails
+    the tests that read them one by one.  Cached: callers copy a document
+    before changing it."""
     g = random_normal_metric(Space(2, (-1, 1)), 3, random.Random(7))
     jet = curvature_jet_at_origin(g, 1)
     return {"metric": g.to_json_obj(), "jet": jet.to_json_obj(),
             "symjet": symmetrize_jet(jet).to_json_obj()}
 
 
-N2_DOCS = _n2_documents()
 # the commands that read each kind of document
 COMMANDS = {"metric": ("jet", "roundtrip"), "jet": ("expand", "extend"),
             "symjet": ("expand",)}
+KINDS = sorted(COMMANDS)
 
 
 class TestInputContract:
@@ -294,7 +300,7 @@ class TestInputContract:
     @pytest.mark.parametrize("command", ["jet", "roundtrip", "expand", "extend"])
     def test_index_out_of_range(self, command, bad, tmp_path, capsys):
         kind = {"expand": "symjet", "extend": "jet"}.get(command, "metric")
-        doc = copy.deepcopy(N2_DOCS[kind])
+        doc = copy.deepcopy(n2_documents()[kind])
         levels = doc["parts"] if kind == "metric" else doc["levels"]
         component = levels[0]["components"][0]
         component["idx" if kind == "jet" else "sym"][0] = bad
@@ -310,7 +316,7 @@ class TestInputContract:
     def test_inexact_value(self, kind, command, value, tmp_path, capsys):
         # JSON's 0.1 is not one tenth and true is not a number: a value
         # must be a rational string or an int
-        doc = copy.deepcopy(N2_DOCS[kind])
+        doc = copy.deepcopy(n2_documents()[kind])
         levels = doc["parts"] if kind == "metric" else doc["levels"]
         levels[0]["components"][-1]["value"] = value
         f = tmp_path / "bad.json"
@@ -325,7 +331,7 @@ class TestInputContract:
                                               for command in COMMANDS[kind]])
     def test_huge_exponent_refused_at_once(self, kind, command, tmp_path, capsys):
         # 10**999999999 would take minutes to build; the literal is refused unread
-        doc = copy.deepcopy(N2_DOCS[kind])
+        doc = copy.deepcopy(n2_documents()[kind])
         levels = doc["parts"] if kind == "metric" else doc["levels"]
         levels[0]["components"][-1]["value"] = "1e-999999999"
         f = tmp_path / "huge.json"
@@ -342,7 +348,7 @@ class TestInputContract:
     def test_long_digit_string_refused(self, kind, command, tmp_path, capsys):
         # int() would refuse 5000 digits with a message about an interpreter
         # setting; the loader refuses them first, without echoing them
-        doc = copy.deepcopy(N2_DOCS[kind])
+        doc = copy.deepcopy(n2_documents()[kind])
         levels = doc["parts"] if kind == "metric" else doc["levels"]
         levels[0]["components"][-1]["value"] = "7" * 5000
         f = tmp_path / "long.json"
@@ -369,7 +375,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("kind", sorted(COMMANDS))
     def test_int_values_read_as_strings(self, kind, tmp_path, capsys):
-        doc = copy.deepcopy(N2_DOCS[kind])
+        doc = copy.deepcopy(n2_documents()[kind])
         converted = 0
         for level in doc["parts"] if kind == "metric" else doc["levels"]:
             for component in level["components"]:
@@ -378,7 +384,7 @@ class TestInputContract:
                     converted += 1
         assert converted
         outputs = []
-        for name, obj in (("strings.json", N2_DOCS[kind]), ("ints.json", doc)):
+        for name, obj in (("strings.json", n2_documents()[kind]), ("ints.json", doc)):
             f = tmp_path / name
             f.write_text(json.dumps(obj))
             code, out, _ = run(capsys, COMMANDS[kind][0], str(f))
@@ -390,7 +396,7 @@ class TestInputContract:
     def test_non_gauge_symjet_level(self, level, tmp_path, capsys):
         # the symjet loader takes any Sym^(l+2) tensor Sym^2 level; the
         # synthesis rejects the metric part it generates, of degree l + 2
-        doc = copy.deepcopy(N2_DOCS["symjet"])
+        doc = copy.deepcopy(n2_documents()["symjet"])
         doc["levels"][level]["components"].append(
             {"sym": [0] * (level + 2), "pair": [0, 0], "value": "1"})
         f = tmp_path / "s.json"
@@ -413,7 +419,7 @@ class TestInputContract:
                                               for command in COMMANDS[kind]])
     def test_negative_order_refused(self, kind, command, tmp_path, capsys):
         # order -1 matches an empty level list, but no jet has order -1
-        doc = dict(N2_DOCS[kind], order=-1, levels=[])
+        doc = dict(n2_documents()[kind], order=-1, levels=[])
         f = tmp_path / "empty.json"
         f.write_text(json.dumps(doc))
         code, out, err = run(capsys, command, str(f))
@@ -437,7 +443,7 @@ class TestSizeFields:
     @pytest.mark.parametrize("as_float", [True, False], ids=["float", "bool"])
     @pytest.mark.parametrize("kind,path,command", SIZE_CASES)
     def test_non_int_size_field(self, kind, path, command, as_float, tmp_path, capsys):
-        doc = copy.deepcopy(N2_DOCS[kind])
+        doc = copy.deepcopy(n2_documents()[kind])
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
@@ -452,9 +458,9 @@ class TestSizeFields:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
-    @pytest.mark.parametrize("kind", sorted(N2_DOCS))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_non_int_signature_entry(self, kind, value, tmp_path, capsys):
-        doc = copy.deepcopy(N2_DOCS[kind])
+        doc = copy.deepcopy(n2_documents()[kind])
         doc["signature"][1] = value
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
@@ -479,8 +485,8 @@ def _paths(node, path=()):
 @st.composite
 def malformed_documents(draw):
     """A valid n=2 document with one field changed, and a command to read it."""
-    kind = draw(st.sampled_from(sorted(N2_DOCS)))
-    doc = copy.deepcopy(N2_DOCS[kind])
+    kind = draw(st.sampled_from(KINDS))
+    doc = copy.deepcopy(n2_documents()[kind])
     path = draw(st.sampled_from(list(_paths(doc))))
     parent = doc
     for key in path[:-1]:
@@ -539,8 +545,10 @@ class TestVerifyCommand:
         # a gauge tensor, which fails a check (exit 1) and is no bad input
         def broken(g, order):
             jet = curvature_jet_at_origin(g, order)
-            jet.levels[0].set((0, 1, 0, 1), jet.levels[0].get((0, 1, 0, 1)) + 1)
-            return jet
+            t = jet.levels[0]
+            coeffs = dict(t.coeffs)
+            coeffs[(0, 1, 0, 1)] = t.get((0, 1, 0, 1)) + 1
+            return CurvatureJet(jet.space, [MultiTensor(t.space, t.arity, coeffs)] + jet.levels[1:])
 
         monkeypatch.setattr("jetiso.verify.curvature_jet_at_origin", broken)
         code, out, err = run(capsys, "verify", "--suite", "roundtrip", "-n", "2", "--max-k", "0")

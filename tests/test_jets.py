@@ -41,7 +41,7 @@ from jetiso.jets import (
     young_symmetrize,
 )
 from jetiso.metriclab import (
-    const_curvature_symjet,
+    const_curvature_jet,
     curvature_jet_at_origin,
     extend_jet,
     random_normal_metric,
@@ -74,12 +74,20 @@ def random_jet(space, order, rng):
     """A jet with random entries at about a third of the indices; invalid."""
     levels = []
     for level in range(order + 1):
-        t = MultiTensor.zero(space, level + 4)
-        for idx in t.iter_indices():
+        comps = {}
+        for idx in itertools.product(range(space.n), repeat=level + 4):
             if rng.random() < 0.3:
-                t.set(idx, F(rng.randint(-5, 5), rng.randint(1, 3)))
-        levels.append(t)
+                comps[idx] = F(rng.randint(-5, 5), rng.randint(1, 3))
+        levels.append(MultiTensor(space, level + 4, comps))
     return CurvatureJet(space, levels)
+
+
+def raised(t, terms):
+    """A new tensor: t with the entry at each idx of ``terms`` raised by its value."""
+    comps = dict(t.coeffs)
+    for idx, v in terms:
+        comps[idx] = comps.get(idx, 0) + v
+    return MultiTensor(t.space, t.arity, comps)
 
 
 def reference_ricci_defect(jet, level, i):
@@ -93,7 +101,7 @@ def reference_ricci_defect(jet, level, i):
 
     p = i - 1
     q = level - i - 1
-    rhs = MultiTensor.zero(space, level + 4)
+    rhs = {}
     prefix_positions = list(range(p))
     for idx in itertools.product(range(n), repeat=level + 4):
         prefix = idx[:p]
@@ -117,8 +125,8 @@ def reference_ricci_defect(jet, level, i):
                         if a:
                             new = base[:pos] + (m,) + base[pos + 1:]
                             total -= space.eps(m) * a * u_level.get(new)
-        rhs.set(idx, total)
-    return lhs - rhs
+        rhs[idx] = total
+    return lhs - MultiTensor(space, level + 4, rhs)
 
 
 def padded_jet(t):
@@ -169,8 +177,7 @@ def by_identity(violations):
 
 class TestMultiTensor:
     def test_permuted_semantics(self):
-        t = MultiTensor.zero(E2, 2)
-        t.set((0, 1), F(5))
+        t = MultiTensor(E2, 2, {(0, 1): F(5)})
         # sigma = (1, 0): out[idx] = t[idx reversed]
         s = t.permuted((1, 0))
         assert s.get((1, 0)) == 5
@@ -178,22 +185,19 @@ class TestMultiTensor:
 
     def test_permuted_below_two_slots_is_a_copy(self):
         for arity, idx in ((0, ()), (1, (2,))):
-            t = MultiTensor.zero(E3, arity)
-            t.set(idx, F(-4, 3))
+            t = MultiTensor(E3, arity, {idx: F(-4, 3)})
             s = t.permuted(tuple(range(arity)))
             assert s == t and s.coeffs is not t.coeffs
             assert list(s.coeffs) == [idx]
 
     def test_swap_involution(self):
         rng = random.Random(1)
-        t = MultiTensor.zero(E3, 3)
-        for idx in t.iter_indices():
-            t.set(idx, F(rng.randint(-5, 5)))
+        t = MultiTensor(E3, 3, {idx: F(rng.randint(-5, 5))
+                                for idx in itertools.product(range(3), repeat=3)})
         assert t.swapped(0, 2).swapped(0, 2) == t
 
     def test_json_round_trip(self):
-        t = MultiTensor.zero(L3, 2)
-        t.set((0, 2), F(-7, 3))
+        t = MultiTensor(L3, 2, {(0, 2): F(-7, 3)})
         assert MultiTensor.from_json_obj(t.to_json_obj()) == t
 
     def test_json_rejects_bad_index(self):
@@ -206,10 +210,9 @@ class TestMultiTensor:
     def test_zero_components_are_not_stored(self):
         t = MultiTensor.zero(E2, 2)
         assert t.get((1, 0)) == 0
-        t.set((1, 0), F(3))
-        t.set((0, 1), 0)
+        t = MultiTensor(E2, 2, {(1, 0): F(3), (0, 1): 0})
         assert t.coeffs == {(1, 0): 3}
-        t.set((1, 0), F(0))
+        t = MultiTensor(E2, 2, {(1, 0): F(0)})
         assert t.coeffs == {} and t.is_zero()
 
 
@@ -228,8 +231,7 @@ class TestValidation:
 
     def test_broken_antisymmetry_reported(self):
         jet = oracle_jet(E2, 1, seed=3)
-        t = jet.levels[0]
-        t.set((0, 0, 0, 1), t.get((0, 0, 0, 1)) + 1)
+        jet.levels[0] = raised(jet.levels[0], [((0, 0, 0, 1), 1)])
         found = validate_jet(jet)
         assert found
         names = {v.identity for v in found}
@@ -248,11 +250,8 @@ class TestValidation:
         # e_2 tensor W is curvature-shaped slotwise but fails the cyclic
         # derivative identity, so only bianchi2 should fire
         jet = oracle_jet(E3, 1, seed=4)
-        t = jet.levels[1]
         w = {(0, 1, 0, 1): 1, (1, 0, 0, 1): -1, (0, 1, 1, 0): -1, (1, 0, 1, 0): 1}
-        for abcd, v in w.items():
-            idx = (2,) + abcd
-            t.set(idx, t.get(idx) + v)
+        jet.levels[1] = raised(jet.levels[1], [((2,) + abcd, v) for abcd, v in w.items()])
         found = validate_jet(jet)
         assert found and {v.identity for v in found} == {"bianchi2"}
 
@@ -288,10 +287,8 @@ class TestValidation:
         n = space.n
         for x1 in range(n):
             for x2 in range(n):
-                form = MultiTensor.zero(space, 2)
-                for z in range(n):
-                    for w in range(n):
-                        form.set((z, w), t0.get((x1, x2, z, w)))
+                form = MultiTensor(space, 2, {(z, w): t0.get((x1, x2, z, w))
+                                              for z in range(n) for w in range(n)})
                 rhs = derivation_apply(form, t0)
                 for rest in itertools.product(range(n), repeat=4):
                     lhs = t2.get((x1, x2) + rest) - t2.get((x2, x1) + rest)
@@ -391,9 +388,9 @@ def mixed_denominator_jet(space, order, seed, bump=None):
     jet = jet_from_symjet(s)
     if bump is not None:
         rng = random.Random(seed)
-        t = jet.levels[rng.randrange(order - 1)]
-        idx = rng.choice(sorted(t.coeffs))
-        t.set(idx, t.get(idx) + bump)
+        level = rng.randrange(order - 1)
+        idx = rng.choice(sorted(jet.levels[level].coeffs))
+        jet.levels[level] = raised(jet.levels[level], [(idx, bump)])
     return jet
 
 
@@ -445,14 +442,13 @@ def orbit_bumped_jet(name, level, bump):
     one seeded stored component of ``level``, a < b and c < d, raised by
     bump, -bump, -bump, bump.  Both antisymmetries still hold."""
     space, order, seed = DILATION_SPACES[name]
-    levels = [MultiTensor(space, t.arity, t.coeffs)
-              for t in mixed_denominator_jet(space, order, seed).levels]
+    levels = list(mixed_denominator_jet(space, order, seed).levels)
     t = levels[level]
     rng = random.Random(f"orbit:{seed}:{level}")
     idx = rng.choice(sorted(i for i in t.coeffs if i[-4] < i[-3] and i[-2] < i[-1]))
     head, (a, b, c, d) = idx[:-4], idx[-4:]
-    for abcd, sign in (((a, b, c, d), 1), ((b, a, c, d), -1), ((a, b, d, c), -1), ((b, a, d, c), 1)):
-        t.set(head + abcd, t.get(head + abcd) + sign * bump)
+    orbit = (((a, b, c, d), 1), ((b, a, c, d), -1), ((a, b, d, c), -1), ((b, a, d, c), 1))
+    levels[level] = raised(t, [(head + abcd, sign * bump) for abcd, sign in orbit])
     return CurvatureJet(space, levels)
 
 
@@ -494,10 +490,8 @@ class TestSignConsistentMutations:
         assert all(i[-4] < i[-3] and i[-2] < i[-1] for i in reps)
         idx = sorted(reps)[0]
         head, (a, b, c, d) = idx[:-4], idx[-4:]
-        broken = MultiTensor(E3, t.arity, t.coeffs)
-        broken.set(head + (b, a, d, c), 0)
         diagonal = head + (a, a, c, d)
-        broken.set(diagonal, 1)
+        broken = MultiTensor(E3, t.arity, {**t.coeffs, head + (b, a, d, c): 0, diagonal: 1})
         reps, rest = _sign_split(broken)
         orbit = {head + abcd for abcd in ((a, b, c, d), (b, a, c, d), (a, b, d, c))}
         assert set(rest) == orbit | {diagonal}
@@ -517,7 +511,7 @@ class TestSignConsistentMutations:
 
 class TestSymmetrize:
     def test_constant_curvature_concentrates(self):
-        s = const_curvature_symjet(E3, F(1), 2)
+        s = symmetrize_jet(const_curvature_jet(E3, F(1), 2))
         jet = jet_from_symjet(s)
         back = symmetrize_jet(jet)
         assert back.levels[0] == s.levels[0]
@@ -581,8 +575,7 @@ class TestSymmetrizeReference:
         rng = random.Random(seed)
         for level, t in enumerate(jet.levels):
             if bump is not None:
-                idx = rng.choice(sorted(t.coeffs))
-                t.set(idx, t.get(idx) + bump)
+                t = raised(t, [(rng.choice(sorted(t.coeffs)), bump)])
             got = _symmetrize_level(t, level)
             assert got.to_json_obj() == reference_symmetrize_level(t, level).to_json_obj()
             assert not got.is_zero()
@@ -698,7 +691,7 @@ class TestExtension:
 
     def test_invalid_jet_raises_with_its_violations(self):
         jet = oracle_jet(E2, 1, seed=3)
-        jet.levels[0].set((0, 0, 0, 1), 1)
+        jet.levels[0] = MultiTensor(E2, 4, {**jet.levels[0].coeffs, (0, 0, 0, 1): 1})
         violations = validate_jet(jet)
         assert violations
         for call in (extend_jet, symmetrize_jet):

@@ -26,7 +26,7 @@ from jetiso.metriclab import (
     _integral_metric,
     _lowered_curvature_dict,
     christoffel_series,
-    const_curvature_symjet,
+    const_curvature_jet,
     curvature_jet_at_origin,
     inverse_series,
     make_normal_metric,
@@ -244,7 +244,7 @@ class TestCurvatureJet:
     @pytest.mark.parametrize("space", [E3, L3], ids=["euclidean", "lorentz"])
     def test_constant_curvature_closed_form(self, space):
         kappa = F(3, 2)
-        s = const_curvature_symjet(space, kappa, 2)
+        s = symmetrize_jet(const_curvature_jet(space, kappa, 2))
         g = metric_from_symjet(s)
         jet = curvature_jet_at_origin(g, 2)
 
@@ -260,11 +260,22 @@ class TestCurvatureJet:
         assert jet.levels[2].is_zero()
 
     def test_sphere_sectional_sign(self):
-        jet = curvature_jet_at_origin(metric_from_symjet(const_curvature_symjet(E3, F(1), 0)), 0)
+        jet = curvature_jet_at_origin(
+            metric_from_symjet(symmetrize_jet(const_curvature_jet(E3, F(1), 0))), 0)
         t0 = jet.levels[0]
         # R(x, y, y, x) = |x ^ y|^2 > 0 for independent x, y
         assert t0.get((0, 1, 1, 0)) == 1
         assert t0.get((0, 1, 0, 1)) == -1
+
+    @pytest.mark.parametrize("space", [E2, L2, E3, L3, Space(4, (1, 1, 1, 1)), L4],
+                             ids=["e2", "l2", "e3", "l3", "e4", "l4"])
+    def test_model_jet_is_the_jet_of_its_metric(self, space):
+        # the model is built from its entries; the series route is the cross-check
+        for kappa in (1, F(2, 3), -3):
+            for order in (0, 3):
+                jet = const_curvature_jet(space, kappa, order)
+                g = metric_from_symjet(symmetrize_jet(jet))
+                assert curvature_jet_at_origin(g, order) == jet, (kappa, order)
 
     def test_oracle_jets_validate(self):
         for space in (E2, L3):
@@ -469,6 +480,30 @@ class TestIntegralSeries:
         assert g.to_json_obj() == reference_metric_from_symjet(s).to_json_obj()
 
 
+class TestSparseMetrics:
+    """Christoffel symbols are formed only on the slots a stored derivative of
+    the metric reaches; metrics with a single gauge basis element as their
+    one part reach few slots."""
+
+    @pytest.mark.parametrize("space, degree", [(E3, 2), (E3, 3), (L3, 2), (L3, 3), (L4, 2), (L4, 3)],
+                             ids=["e3-2", "e3-3", "l3-2", "l3-3", "l4-2", "l4-3"])
+    def test_one_basis_element(self, space, degree):
+        for i, h in enumerate(gauge_basis(space, degree)):
+            g = make_normal_metric(space, [h])
+            assert christoffel_series(g, 2) == reference_christoffel_series(g, 2), i
+            assert curvature_jet_at_origin(g, 1) == reference_curvature_jet_at_origin(g, 1), i
+
+    def test_embedded_plane_keeps_its_jet(self):
+        plane = Space(2, (-1, 1))
+        g2 = random_normal_metric(plane, 4, random.Random(1))
+        jet2 = curvature_jet_at_origin(g2, 2)
+        assert all(not t.is_zero() for t in jet2.levels)
+        space = Space(40, (-1,) + (1,) * 39)
+        g = make_normal_metric(space, [SymPairTensor(space, h.k, h.coeffs) for h in g2.parts.values()])
+        want = CurvatureJet(space, [MultiTensor(space, t.arity, t.coeffs) for t in jet2.levels])
+        assert curvature_jet_at_origin(g, 2) == want
+
+
 def exact_scalars(values):
     """Every value is an int or a Fraction that is not integral."""
     return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
@@ -533,7 +568,7 @@ class TestMetricFromSymjet:
         # g_11 along the x0 axis is sin^2(s)/s^2 with s^2 = kappa x0^2:
         # 1 - s^2/3 + 2 s^4/45 - s^6/315 + ...
         kappa = F(1)
-        g = metric_from_symjet(const_curvature_symjet(E3, kappa, 4))
+        g = metric_from_symjet(symmetrize_jet(const_curvature_jet(E3, kappa, 4)))
         e0 = basis_vec(3, 0)
         e1 = basis_vec(3, 1)
         profile = {2: F(-1, 3), 4: F(2, 45), 6: F(-1, 315)}
@@ -547,7 +582,7 @@ class TestMetricFromSymjet:
 
     def test_kappa_scaling(self):
         kappa = F(5, 7)
-        g = metric_from_symjet(const_curvature_symjet(E2, kappa, 2))
+        g = metric_from_symjet(symmetrize_jet(const_curvature_jet(E2, kappa, 2)))
         e0 = basis_vec(2, 0)
         e1 = basis_vec(2, 1)
         assert eval_pair(g.part(2), [e0] * 2, e1, e1) == -kappa / 3

@@ -55,8 +55,7 @@ class TestScalarWireFormat:
         assert h2.to_json_obj()["components"][0]["value"] == "2"
 
     def test_zero_components_omitted(self):
-        t = MultiTensor.zero(L3, 2)
-        t.set((0, 1), F(0))
+        t = MultiTensor(L3, 2, {(0, 1): F(0)})
         assert t.to_json_obj()["components"] == []
         h = SymPairTensor(L3, 1, {((0,), (0, 1)): F(0)})
         assert h.to_json_obj()["components"] == []

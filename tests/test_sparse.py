@@ -215,7 +215,7 @@ class TestPolyValues:
 class TestOneCopy:
     def test_linear_methods_live_on_the_base(self):
         names = ("is_zero", "__eq__", "__hash__", "__add__", "__neg__", "__sub__",
-                 "scaled", "__rmul__", "__bool__", "_with")
+                 "scaled", "__rmul__", "__bool__", "_with", "zero")
         for cls in (Poly, FreeElement, SymPairTensor, PolyEnd, MultiTensor):
             assert not [name for name in names if name in cls.__dict__], cls
             assert set(Sparse.__slots__).isdisjoint(cls.__slots__)

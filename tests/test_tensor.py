@@ -225,15 +225,15 @@ def reference_kulkarni(h: SymPairTensor):
     k = h.k - 2
     if k < 0:
         raise ValueError("need a tensor with at least two symmetric slots")
-    out = MultiTensor.zero(space, k + 4)
+    out = {}
     for idx in itertools.product(range(n), repeat=k + 4):
         lead = idx[:k]
         a, b, c, d = idx[k:]
         v = (h.get(lead + (a, c), (b, d)) - h.get(lead + (b, c), (a, d))
              - h.get(lead + (a, d), (b, c)) + h.get(lead + (b, d), (a, c)))
         if v:
-            out.set(idx, v)
-    return out
+            out[idx] = v
+    return MultiTensor(space, k + 4, out)
 
 
 # the scatter is compared on every gauge basis element (n=2, 3 in degrees
