@@ -206,13 +206,16 @@ def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
     The curvature 2-form has components R_ab = d_a Gamma_b - d_b Gamma_a
     + Gamma_a Gamma_b - Gamma_b Gamma_a, so R(a, b, c, d) = (g R_ab)[d, c].
     R is antisymmetric in (a, b) and in (c, d), so only keys with a < b
-    and c < d are stored (see ``_sign_representative``).
+    and c < d are stored (see ``_sign_representative``).  R_ab is 0 when
+    Gamma_a and Gamma_b both are, and that pair is skipped.
     """
     metric = metric_form_series(g, trunc)
     out = {}
     for a in range(g.space.n):
         for b in range(a + 1, g.space.n):
             ga, gb = gamma[a], gamma[b]
+            if not (ga or gb):
+                continue
             two_form = gb.diff(a) - ga.diff(b) + ga.mul(gb, trunc) - gb.mul(ga, trunc)
             for (d, c), p in metric.mul(two_form, trunc).coeffs.items():
                 if c < d:

@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Monomials are exponent tuples of a fixed length ``n`` and coefficients
-are ``int`` or ``fractions.Fraction``.  Zero coefficients are never
-stored, so ``p.is_zero()`` is just an emptiness check.  Products accept
-an optional truncation degree; that is what makes these usable as
-truncated power series everywhere else in the package.
+A monomial in the ``n`` variables is the sorted tuple of its variable
+indices: x0^2 x2 is ``(0, 0, 2)`` and a constant is ``()``, so a term's
+degree is the length of its key, the multiset key of
+``tensor.SymPairTensor``.  Coefficients are ``int`` or
+``fractions.Fraction``.  Zero coefficients are never stored, so
+``p.is_zero()`` is just an emptiness check.  Products accept an optional
+truncation degree; that is what makes these usable as truncated power
+series everywhere else in the package.
 
 ``Sparse`` is the linear-combination base that ``Poly``,
 ``freealg.FreeElement``, ``tensor.SymPairTensor``, ``tensor.PolyEnd`` and
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
 
 
 class Sparse:
@@ -112,25 +114,20 @@ class Poly(Sparse):
 
     @classmethod
     def const(cls, n, value):
-        return cls(n, {(0,) * n: value})
+        return cls(n, {(): value})
 
     @classmethod
     def variable(cls, n, i):
-        mono = [0] * n
-        mono[i] = 1
-        return cls(n, {tuple(mono): 1})
-
-    def coeff(self, mono):
-        return self.coeffs.get(tuple(mono), Fraction(0))
+        return cls(n, {(i,): 1})
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.n, Fraction(0))
+        return self.coeffs.get((), Fraction(0))
 
     def degree(self):
         """Total degree, or -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
-        return max(sum(m) for m in self.coeffs)
+        return max(map(len, self.coeffs))
 
     def mul(self, other, trunc=None):
         """Product, dropping monomials of total degree above ``trunc``.
@@ -149,24 +146,24 @@ class Poly(Sparse):
         return self.scaled(other)
 
     def times_variable(self, i):
-        """Product with the variable x_i, as a shift of every monomial."""
-        return self._with({m[:i] + (m[i] + 1,) + m[i + 1:]: c for m, c in self.coeffs.items()})
+        """Product with the variable x_i: i joins every monomial, in order."""
+        return self._with({tuple(sorted(m + (i,))): c for m, c in self.coeffs.items()})
 
     def diff(self, i):
+        """d/dx_i: a monomial holding i e times loses one i, and its coefficient gains e."""
         out = {}
         for mono, c in self.coeffs.items():
-            e = mono[i]
+            e = mono.count(i)
             if e:
-                m = list(mono)
-                m[i] = e - 1
-                out[tuple(m)] = e * c
+                at = mono.index(i)
+                out[mono[:at] + mono[at + 1:]] = e * c
         return self._with(out)
 
     def truncated(self, max_deg):
-        return self._with({m: c for m, c in self.coeffs.items() if sum(m) <= max_deg})
+        return self._with({m: c for m, c in self.coeffs.items() if len(m) <= max_deg})
 
     def homogeneous_part(self, deg):
-        return self._with({m: c for m, c in self.coeffs.items() if sum(m) == deg})
+        return self._with({m: c for m, c in self.coeffs.items() if len(m) == deg})
 
     def __repr__(self):
         if not self.coeffs:
@@ -174,8 +171,8 @@ class Poly(Sparse):
         parts = []
         for mono, c in self.sorted_terms():
             vars_ = "*".join(
-                f"x{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono) if e
+                f"x{i}" + (f"^{e}" if (e := mono.count(i)) > 1 else "")
+                for i in sorted(set(mono))
             )
             parts.append(f"{c}" + (f"*{vars_}" if vars_ else ""))
         return "Poly(" + " + ".join(parts) + ")"
@@ -185,7 +182,7 @@ def _graded(coeffs, max_deg):
     """The (monomial, coefficient) pairs of degree <= max_deg (all for None), by degree."""
     out = {}
     for mono, c in coeffs.items():
-        d = sum(mono)
+        d = len(mono)
         if max_deg is None or d <= max_deg:
             out.setdefault(d, []).append((mono, c))
     return out
@@ -203,7 +200,7 @@ def _graded_mul_into(out, graded_a, graded_b, trunc):
                 continue
             for ma, ca in ta:
                 for mb, cb in tb:
-                    mono = tuple(map(add, ma, mb))
+                    mono = tuple(sorted(ma + mb))
                     s = out.get(mono, 0) + ca * cb
                     if s:
                         out[mono] = s

@@ -6,7 +6,8 @@ codec), cover everything the package needs:
 
 * ``SymPairTensor``: an element of Sym^k V* tensor Sym^2 V*, stored
   sparsely on multiset keys.  These hold Taylor coefficients of metrics
-  and symmetrized curvature data.
+  and symmetrized curvature data.  A multiset key is also the key of a
+  ``poly.Poly`` monomial, so ``pair_matrix`` and ``end_pair_sums`` re-key.
 * ``MultiTensor``: an m-linear form, stored sparsely on full index
   tuples, used for curvature tensors and their derivative jets.
 
@@ -126,18 +127,11 @@ def multiset_count(ms) -> int:
 
 
 def content_of(idx, n):
-    """Exponent vector counting occurrences of each index."""
+    """Exponent vector of an index tuple: the content of a gauge or Bianchi block."""
     counts = [0] * n
     for i in idx:
         counts[i] += 1
     return tuple(counts)
-
-
-def multiset_from_content(content):
-    out = []
-    for i, c in enumerate(content):
-        out.extend([i] * c)
-    return tuple(out)
 
 
 class Tensor(Sparse):
@@ -497,14 +491,12 @@ class PolyEnd(Sparse):
 
 def pair_matrix(h: SymPairTensor) -> PolyEnd:
     """The symmetric matrix of polynomials v -> h(v,..,v; e_a, e_b)."""
-    n = h.space.n
     coeffs = defaultdict(dict)
     for (sym, (p, q)), value in h.coeffs.items():
-        mono = content_of(sym, n)
         weight = multiset_count(sym) * value
-        coeffs[(p, q)][mono] = weight
-        coeffs[(q, p)][mono] = weight
-    return PolyEnd(h.space, {key: Poly(n, c) for key, c in coeffs.items()})
+        coeffs[(p, q)][sym] = weight
+        coeffs[(q, p)][sym] = weight
+    return PolyEnd(h.space, {key: Poly(h.space.n, c) for key, c in coeffs.items()})
 
 
 def pair_to_end(h: SymPairTensor) -> PolyEnd:
@@ -534,13 +526,14 @@ def end_pair_sums(e: PolyEnd):
     """The arrangement sums of the pair form of a self-adjoint e, for
     ``pair_average``: eps_a times entry (a, b) is h(v,..,v; e_a, e_b),
     whose coefficient at a monomial sums h over the arrangements of its
-    multiset, and both orders of a pair add to its sorted key."""
+    multiset (the monomial's key), and both orders of a pair add to its
+    sorted key."""
     sums = defaultdict(int)
     for (a, b), p in e.coeffs.items():
         eps = e.space.eps(a)
         pair = (a, b) if a <= b else (b, a)
-        for mono, c in p.coeffs.items():
-            sums[(multiset_from_content(mono), pair)] += eps * c
+        for sym, c in p.coeffs.items():
+            sums[(sym, pair)] += eps * c
     return sums
 
 

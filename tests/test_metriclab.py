@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -43,6 +44,7 @@ from jetiso.tensor import (
     PolyEnd,
     Space,
     SymPairTensor,
+    content_of,
     gauge_basis,
     multiset_count,
     pair_to_end,
@@ -467,7 +469,7 @@ class TestIntegralSeries:
         assert gamma == reference_christoffel_series(g, trunc)
         for m, mi in zip(gamma, christoffel_series(gi, trunc)):
             assert mi == PolyEnd(space, {
-                key: Poly(space.n, {mono: c * t ** (sum(mono) + 1) for mono, c in p.coeffs.items()})
+                key: Poly(space.n, {mono: c * t ** (len(mono) + 1) for mono, c in p.coeffs.items()})
                 for key, p in m.coeffs.items()})
 
     @pytest.mark.parametrize("space, seed", INTEGRAL_CASES, ids=INTEGRAL_IDS)
@@ -502,6 +504,28 @@ class TestSparseMetrics:
         g = make_normal_metric(space, [SymPairTensor(space, h.k, h.coeffs) for h in g2.parts.values()])
         want = CurvatureJet(space, [MultiTensor(space, t.arity, t.coeffs) for t in jet2.levels])
         assert curvature_jet_at_origin(g, 2) == want
+
+    def test_flat_pairs_form_no_product(self, monkeypatch):
+        # R_ab is 0 when Gamma_a and Gamma_b both are; the pair loop skips it
+        g = make_normal_metric(Space.euclidean(40), [])
+        gamma = christoffel_series(g, 1)
+        calls = []
+        mul = PolyEnd.mul
+        monkeypatch.setattr(PolyEnd, "mul", lambda self, *args: calls.append(args) or mul(self, *args))
+        assert _lowered_curvature_dict(g, gamma, 0) == {}
+        assert len(calls) == 0
+
+    def test_zero_jet_metric_stays_small(self):
+        # a constant series term is keyed by (), so the n constants of the identity cost O(n)
+        space = Space.euclidean(3000)
+        tracemalloc.start()
+        try:
+            g = metric_from_symjet(symmetrize_jet(CurvatureJet.zero(space, 0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(g.parts) == [2] and g.parts[2].is_zero()
+        assert peak < 8 * 2**20
 
 
 def exact_scalars(values):
@@ -687,15 +711,16 @@ class TestJsonForms:
 class TestPinnedSeries:
     """Exact outputs of the series layer, pinned by digest.
 
-    The text hashed is sorted (entry, monomial, coefficient) lines, so it
-    depends only on the values, not on how a series is stored.
+    The text hashed is sorted (entry, exponent vector, coefficient) lines,
+    so it depends only on the values, not on how a series is stored.
     """
 
     @staticmethod
     def matrix_lines(name, m, n):
-        return [f"{name} {i},{j} {list(mono)} {format_rational(c)}"
+        return [f"{name} {i},{j} {list(exps)} {format_rational(c)}"
                 for i, j in itertools.product(range(n), repeat=2)
-                for mono, c in m.entry(i, j).sorted_terms()]
+                for exps, c in sorted((content_of(mono, n), c)
+                                      for mono, c in m.entry(i, j).coeffs.items())]
 
     def test_series_digest(self):
         h = hashlib.sha256()

@@ -11,7 +11,7 @@ import pytest
 
 from jetiso.freealg import FreeElement
 from jetiso.poly import Poly, Sparse, _graded, _graded_mul_into
-from jetiso.tensor import MultiTensor, PolyEnd, Space, SymPairTensor, sym_indices
+from jetiso.tensor import MultiTensor, PolyEnd, Space, SymPairTensor, pair_matrix, sym_indices
 
 E3 = Space(3, (1, 1, 1))
 L3 = Space(3, (-1, 1, 1))
@@ -23,8 +23,18 @@ def _rational(rng):
     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
 
+def multiset(exponents):
+    """The monomial key (sorted variable indices) of an exponent vector."""
+    return tuple(i for i, e in enumerate(exponents) for _ in range(e))
+
+
+def exponents(mono, n):
+    """The exponent vector of a monomial key."""
+    return tuple(mono.count(i) for i in range(n))
+
+
 def random_poly(rng, n=3, max_deg=3, terms=6):
-    return Poly(n, {tuple(rng.randrange(max_deg + 1) for _ in range(n)): _rational(rng)
+    return Poly(n, {multiset(rng.randrange(max_deg + 1) for _ in range(n)): _rational(rng)
                     for _ in range(terms)})
 
 
@@ -136,7 +146,7 @@ class TestTruncatedProduct:
             rng = random.Random(seed)
             a = random_poly(rng, max_deg=4, terms=10)
             b = random_poly(rng, max_deg=4, terms=10)
-            assert len({sum(m) for m in a.coeffs}) > 1 and len({sum(m) for m in b.coeffs}) > 1
+            assert len({len(m) for m in a.coeffs}) > 1 and len({len(m) for m in b.coeffs}) > 1
             n = a.n
             zero, const = Poly.zero(n), Poly.const(n, Fraction(-3, 2))
             for x, y in ((a, b), (b, a), (a, a), (a, a.scaled(-1)), (a, zero), (zero, b),
@@ -165,9 +175,62 @@ class TestTruncatedProduct:
                 assert a.times_variable(i) == a.mul(Poly.variable(a.n, i))
 
 
+class TestMonomialKey:
+    """A monomial is keyed by its sorted variable indices, so its degree is
+    the key's length; the operations agree with exponent-vector references."""
+
+    @staticmethod
+    def as_exponents(p):
+        return {exponents(m, p.n): c for m, c in p.coeffs.items()}
+
+    def test_every_key_is_sorted(self):
+        n = 4
+        assert Poly.const(n, 3).coeffs == {(): 3} and Poly.const(n, 3).degree() == 0
+        for i in range(n):
+            assert Poly.variable(n, i).coeffs == {(i,): 1} and Poly.variable(n, i).degree() == 1
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            a, b = random_poly(rng, n, terms=8), random_poly(rng, n, terms=8)
+            results = [a.mul(b), a.mul(b, 4), b.mul(a, 2), a * b]
+            results += [p for i in range(n) for p in (a.diff(i), a.times_variable(i))]
+            for p in results:
+                assert all(list(m) == sorted(m) and set(m) <= set(range(n)) for m in p.coeffs)
+                assert p.degree() == max((sum(e) for e in self.as_exponents(p)), default=-1)
+            for k in (1, 2, 3):
+                h = random_sym_pair(rng, L3, k)
+                for entry in pair_matrix(h).coeffs.values():
+                    assert all(list(m) == sorted(m) and len(m) == k for m in entry.coeffs)
+
+    def test_agrees_with_exponent_vectors(self):
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            a = random_poly(rng, max_deg=4, terms=10)
+            b = random_poly(rng, max_deg=4, terms=10)
+            n = a.n
+            ea, eb = self.as_exponents(a), self.as_exponents(b)
+            for i in range(n):
+                assert self.as_exponents(a.diff(i)) == {
+                    e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c for e, c in ea.items() if e[i]}
+                assert self.as_exponents(a.times_variable(i)) == {
+                    e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in ea.items()}
+            for d in range(-1, 14):
+                assert self.as_exponents(a.truncated(d)) == {e: c for e, c in ea.items() if sum(e) <= d}
+                assert self.as_exponents(a.homogeneous_part(d)) == {
+                    e: c for e, c in ea.items() if sum(e) == d}
+            zero = (0,) * n
+            assert a.constant_term() == ea.get(zero, 0)
+            assert (a + Poly.const(n, Fraction(7, 3))).constant_term() == ea.get(zero, 0) + Fraction(7, 3)
+            product = {}
+            for e, c in ea.items():
+                for f, c2 in eb.items():
+                    key = tuple(x + y for x, y in zip(e, f))
+                    product[key] = product.get(key, 0) + c * c2
+            assert self.as_exponents(a.mul(b)) == {e: c for e, c in product.items() if c}
+
+
 class TestShapeInEquality:
     def test_poly_n(self):
-        assert Poly(2, {(1, 0): 1}) != Poly(3, {(1, 0): 1})
+        assert Poly(2, {(0,): 1}) != Poly(3, {(0,): 1})
         assert Poly(2) != Poly(3)
 
     def test_sym_pair_space_and_degree(self):
@@ -176,7 +239,7 @@ class TestShapeInEquality:
         assert SymPairTensor.zero(E3, 2) != SymPairTensor.zero(E3, 3)
 
     def test_different_types_never_equal(self):
-        assert Poly(1, {(0,): 1}) != FreeElement({(): 1})
+        assert Poly(1, {(): 1}) != FreeElement({(): 1})
         assert PolyEnd.zero(E3) != SymPairTensor.zero(E3, 0)
 
 
@@ -188,7 +251,7 @@ class TestPolyValues:
             assert bool(p) is True and not p.is_zero()
             assert bool(p - p) is False and (p - p).is_zero()
         assert not Poly.zero(3)
-        assert Poly(3, {(0, 0, 0): 0}).coeffs == {} and not Poly(3, {(0, 0, 0): 0})
+        assert Poly(3, {(): 0}).coeffs == {} and not Poly(3, {(): 0})
 
     def test_cancelling_entry_is_dropped(self):
         rng = random.Random(11)
