@@ -4,6 +4,12 @@ Exit codes: 0 on success, 1 when a verification or exact identity
 fails, 2 on bad input (unreadable files, malformed JSON, out-of-range
 arguments).  All output is deterministic: rationals print as p/q and
 JSON components are emitted in sorted order.
+
+Every JSON document is written by ``_write_json`` from the object's
+``json_frame()``, and its bytes are ``json.dumps(obj.to_json_obj(),
+indent=2) + "\n"``: the standard encoder falls back to pure Python when
+it indents, so the writer lays the text out itself, one component at a
+time, to the file or to stdout, and never builds the plain document.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
+from itertools import chain
 
-from .exactla import parse_rational
+from .exactla import format_rational, parse_rational
 from .freealg import q_poly, qtilde_poly
 from .jets import CurvatureJet, InvalidJetError, SymJet, symmetrize_jet
 from .metriclab import (
@@ -23,7 +31,8 @@ from .metriclab import (
     metric_from_symjet,
 )
 from .metriclab import extend_jet as _extend_jet
-from .tensor import Space, curvature_jet_dim_bound, gauge_basis, gauge_dim
+from .poly import Sparse
+from .tensor import Space, curvature_jet_dim_bound, gauge_basis, gauge_dim, list_field
 from .verify import SUITE_NAMES, run_suites
 
 QPOLY_DEFAULT_MAX = 12
@@ -33,14 +42,79 @@ class InputError(Exception):
     """Problem with user-supplied files or arguments; exits with code 2."""
 
 
-def _dump_json(obj, out_path):
-    text = json.dumps(obj, indent=2) + "\n"
+def _write_components(write, holder, pad):
+    """Write ``holder.components_json()`` as ``json.dumps(..., indent=2)``
+    lays it out at indent ``pad``, one component per ``write``, without
+    building it.
+
+    A component is one ``%`` format of its indices and value, through the
+    template of its shape of key (the lengths of its parts), made once per
+    call.  Each value is formatted where it is written: a table by value
+    measured slower, as a ``Fraction``'s hash costs about what its string
+    does."""
+    terms = holder.sorted_terms()
+    if not terms:
+        write("[]")
+        return
+    *fields, value_field = holder.json_fields
+    item, field, index = pad + "  ", pad + "    ", pad + "      "
+
+    @cache
+    def template(lengths):
+        heads = [field + json.dumps(name) + ": " for name in fields]
+        arrays = ["[" + ",".join(["\n" + index + "%d"] * k) + "\n" + field + "]" if k else "[]"
+                  for k in lengths]
+        return (item + "{\n" + ",\n".join(map(str.__add__, heads, arrays)) + ",\n" + field
+                + json.dumps(value_field) + ': "%s"\n' + item + "}")
+
+    one_part = len(fields) == 1
+    separator = "[\n"
+    for key, v in terms:
+        parts = (key,) if one_part else key
+        write(separator + template(tuple(map(len, parts)))
+              % (*chain.from_iterable(parts), format_rational(v)))
+        separator = ",\n"
+    write("\n" + pad + "]")
+
+
+def _write_node(write, node, pad):
+    """Write ``node`` as ``json.dumps(json_obj(node), indent=2)`` lays it out
+    at indent ``pad``: a dict or a list entry by entry, a component holder
+    through ``_write_components``, a scalar as ``json.dumps`` writes it."""
+    if isinstance(node, Sparse):
+        _write_components(write, node, pad)
+        return
+    if isinstance(node, dict):
+        heads, entries, brackets = [json.dumps(key) + ": " for key in node], node.values(), "{}"
+    elif isinstance(node, list):
+        heads, entries, brackets = [""] * len(node), node, "[]"
+    else:
+        write(json.dumps(node))
+        return
+    if not heads:
+        write(brackets)
+        return
+    inner = pad + "  "
+    separator = brackets[0] + "\n" + inner
+    for head, entry in zip(heads, entries):
+        write(separator + head)
+        _write_node(write, entry, inner)
+        separator = ",\n" + inner
+    write("\n" + pad + brackets[1])
+
+
+def _write_json(frame, out_path):
+    """Write the document ``frame`` (a ``json_frame()``) to ``out_path``, or to
+    stdout for None or ``-``, as the bytes of ``json.dumps(json_obj(frame),
+    indent=2) + "\n"``, without building the plain document."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        _write_node(sys.stdout.write, frame, "")
+        sys.stdout.write("\n")
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_node(fh.write, frame, "")
+            fh.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write {out_path}: {exc}") from exc
 
@@ -61,7 +135,7 @@ def _load_jet_like(path):
     """Load either a curvature jet or a symmetrized jet file."""
     obj = _load_json(path)
     try:
-        levels = obj["levels"]
+        levels = list_field(obj, "levels")
         if levels and "arity" in levels[0]:
             return CurvatureJet.from_json_obj(obj)
         return SymJet.from_json_obj(obj)
@@ -103,8 +177,7 @@ def cmd_qpoly(args):
         print(element.to_text())
     else:
         name = ("qtilde" if args.tilde else "q") + f"_{args.k}"
-        _dump_json({"name": name, "degree": args.k, "terms": element.to_json_obj()},
-                   None)
+        _write_json({"name": name, "degree": args.k, "terms": element}, None)
     return 0
 
 
@@ -134,7 +207,7 @@ def cmd_expand(args):
     s = symmetrize_jet(loaded) if isinstance(loaded, CurvatureJet) else loaded
     g = metric_from_symjet(s)
     parts = {d: h for d, h in g.parts.items() if d <= order}
-    _dump_json(PolyMetric(g.space, parts).to_json_obj(), args.out)
+    _write_json(PolyMetric(g.space, parts).json_frame(), args.out)
     return 0
 
 
@@ -144,7 +217,7 @@ def cmd_jet(args):
     if k < 0:
         raise InputError("need k >= 0")
     jet = curvature_jet_at_origin(g, k)
-    _dump_json(jet.to_json_obj(), args.out)
+    _write_json(jet.json_frame(), args.out)
     return 0
 
 
@@ -170,7 +243,7 @@ def cmd_extend(args):
     loaded = _load_jet_like(args.file)
     if not isinstance(loaded, CurvatureJet):
         raise InputError("extend expects a curvature jet file")
-    _dump_json(_extend_jet(loaded).to_json_obj(), args.out)
+    _write_json(_extend_jet(loaded).json_frame(), args.out)
     return 0
 
 
@@ -215,9 +288,9 @@ def cmd_example(args):
     jet = const_curvature_jet(space, kappa, args.order)
     s = symmetrize_jet(jet)
     g = metric_from_symjet(s)
-    _dump_json(s.to_json_obj(), os.path.join(args.out, "symjet.json"))
-    _dump_json(jet.to_json_obj(), os.path.join(args.out, "jet.json"))
-    _dump_json(g.to_json_obj(), os.path.join(args.out, "metric.json"))
+    _write_json(s.json_frame(), os.path.join(args.out, "symjet.json"))
+    _write_json(jet.json_frame(), os.path.join(args.out, "jet.json"))
+    _write_json(g.json_frame(), os.path.join(args.out, "metric.json"))
     print(f"wrote symjet.json, jet.json, metric.json to {args.out}")
     return 0
 

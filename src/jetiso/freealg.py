@@ -57,9 +57,11 @@ def _check_word(word):
 
 
 class FreeElement(Sparse):
-    """A finite rational combination of words, kept zero-free."""
+    """A finite rational combination of words, kept zero-free; a term is
+    written as its ``json_fields``, the word and its coefficient."""
 
     __slots__ = ()
+    json_fields = ("word", "coeff")
 
     def __init__(self, terms=None):
         self.coeffs = {_check_word(word): Fraction(c) for word, c in (terms or {}).items() if c}
@@ -119,8 +121,7 @@ class FreeElement(Sparse):
         return " + ".join(parts)
 
     def to_json_obj(self):
-        return [{"word": list(w), "coeff": format_rational(c)}
-                for w, c in self.sorted_terms()]
+        return self.components_json()
 
     @classmethod
     def from_json_obj(cls, obj):

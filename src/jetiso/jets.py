@@ -61,7 +61,9 @@ from .tensor import (
     content_of,
     int_field,
     is_gauge_tensor,
+    json_obj,
     kulkarni,
+    list_field,
     pair_average,
     pullback,
 )
@@ -134,16 +136,18 @@ class Jet:
         """The jet of the pulled-back levels (``tensor.pullback``)."""
         return type(self)(self.space, [pullback(t, g) for t in self.levels])
 
-    def to_json_obj(self):
+    def json_frame(self):
+        """The document with each level's tensor in place of its components list."""
         return {
             "n": self.space.n,
             "signature": list(self.space.signature),
             "order": self.order,
-            "levels": [
-                {self.size_field: l + self.offset, "components": t.components_json()}
-                for l, t in enumerate(self.levels)
-            ],
+            "levels": [{self.size_field: l + self.offset, "components": t}
+                       for l, t in enumerate(self.levels)],
         }
+
+    def to_json_obj(self):
+        return json_obj(self.json_frame())
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -152,10 +156,11 @@ class Jet:
         if order < 0:
             raise ValueError("need order >= 0")
         levels = []
-        for l, lv in enumerate(obj["levels"]):
+        for l, lv in enumerate(list_field(obj, "levels")):
             size = int_field(lv, cls.size_field)
             cls._check_size(l, size)
-            levels.append(cls.level_type.from_components(space, size, lv["components"]))
+            levels.append(cls.level_type.from_components(space, size,
+                                                         list_field(lv, "components")))
         if len(levels) != order + 1:
             raise ValueError("order does not match the number of levels")
         return cls(space, levels)

@@ -49,6 +49,8 @@ from .tensor import (
     gauge_basis,
     int_field,
     is_gauge_tensor,
+    json_obj,
+    list_field,
     pair_average,
     pair_matrix,
     pair_to_end,
@@ -94,22 +96,24 @@ class PolyMetric:
         degrees = set(self.parts) | set(other.parts)
         return all(self.part(d) == other.part(d) for d in degrees)
 
-    def to_json_obj(self):
+    def json_frame(self):
+        """The document with each part's tensor in place of its components list."""
         return {
             "n": self.space.n,
             "signature": list(self.space.signature),
-            "parts": [
-                {"degree": d, "components": self.parts[d].components_json()}
-                for d in sorted(self.parts)
-            ],
+            "parts": [{"degree": d, "components": self.parts[d]} for d in sorted(self.parts)],
         }
+
+    def to_json_obj(self):
+        return json_obj(self.json_frame())
 
     @classmethod
     def from_json_obj(cls, obj):
         space = Space(obj["n"], tuple(obj["signature"]))
         return make_normal_metric(space, [
-            SymPairTensor.from_components(space, int_field(entry, "degree"), entry["components"])
-            for entry in obj["parts"]
+            SymPairTensor.from_components(space, int_field(entry, "degree"),
+                                          list_field(entry, "components"))
+            for entry in list_field(obj, "parts")
         ])
 
     def __repr__(self):
@@ -238,6 +242,9 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
 
     Each Christoffel entry and each component is graded by degree once
     and the products accumulate in place (``poly._graded_mul_into``).
+    In normal coordinates Gamma(0) = 0, so a Christoffel entry only meets
+    components of degree < trunc: each component is graded to trunc - 1,
+    and at trunc 0 the result is the derivative terms alone.
     """
     out = {}
     for idx, p in t.items():
@@ -245,6 +252,9 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
             d = p.diff(j).truncated(trunc)
             if not d.is_zero():
                 out[(j,) + idx] = d.coeffs
+    zero = Poly.zero(n)
+    if trunc == 0:
+        return {key: zero._with(coeffs) for key, coeffs in out.items()}
     # weights[(m, c)]: j with the graded weight -sign * Gamma^m_{jc} for each sign of a move
     weights = {}
     for j in range(n):
@@ -252,7 +262,7 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
             weights.setdefault(key, []).append(
                 (j, {1: _graded((-gp).coeffs, trunc), -1: _graded(gp.coeffs, trunc)}))
     for idx, p in t.items():
-        graded = _graded(p.coeffs, trunc)
+        graded = _graded(p.coeffs, trunc - 1)
         for s in range(arity):
             ms = idx[s]
             for c in range(n):
@@ -269,7 +279,6 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
                     if acc is None:
                         acc = out[key] = {}
                     _graded_mul_into(acc, by_sign[sign], graded, trunc)
-    zero = Poly.zero(n)
     return {key: zero._with(coeffs) for key, coeffs in out.items() if coeffs}
 
 

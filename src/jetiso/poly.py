@@ -35,6 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .exactla import format_rational
+
 
 class Sparse:
     """A finite linear combination: ``coeffs`` maps keys to nonzero values.
@@ -103,6 +105,19 @@ class Sparse:
 
     def sorted_terms(self):
         return sorted(self.coeffs.items())
+
+    def components_json(self):
+        """The sorted terms, each as an object of the type's ``json_fields``:
+        the parts of its key (the key itself when one field comes before the
+        value), then its value as a ``p/q`` string."""
+        *fields, value_field = self.json_fields
+        one_part = len(fields) == 1
+        out = []
+        for key, v in self.sorted_terms():
+            entry = {name: list(part) for name, part in zip(fields, (key,) if one_part else key)}
+            entry[value_field] = format_rational(v)
+            out.append(entry)
+        return out
 
 
 class Poly(Sparse):

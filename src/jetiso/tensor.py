@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
 
-from .exactla import RatMatrix, exact_quotient, format_rational, nullspace_basis, parse_rational
+from .exactla import RatMatrix, exact_quotient, nullspace_basis, parse_rational
 from .poly import Poly, Sparse, _graded, _graded_mul_into
 
 
@@ -84,6 +84,26 @@ def int_field(obj, name):
     return value
 
 
+def list_field(obj, name):
+    """The field ``name`` of a JSON object, which must be a list: a dict or
+    a string there would iterate as keys or characters."""
+    value = obj[name]
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list")
+    return value
+
+
+def json_obj(frame):
+    """The plain JSON object of a document frame: ``frame`` with each
+    component holder (a tensor in place of its components list) replaced
+    by its ``components_json()``."""
+    if isinstance(frame, dict):
+        return {key: json_obj(value) for key, value in frame.items()}
+    if isinstance(frame, list):
+        return [json_obj(value) for value in frame]
+    return frame.components_json() if isinstance(frame, Sparse) else frame
+
+
 def _all_indices(tuples, length, n):
     """True when every tuple holds ``length`` ints in range(n).
 
@@ -96,10 +116,22 @@ def _all_indices(tuples, length, n):
 
 def _summed_values(keys, entries):
     """The parsed ``value`` of each entry summed on its key, zeros dropped;
-    a key is added to only when it repeats."""
+    a key is added to only when it repeats.
+
+    A document repeats few value strings many times, so each distinct
+    string is parsed once, through a table from its text to its value.
+    Any other JSON value goes through ``parse_rational`` every time, which
+    takes an int and refuses a float or a bool."""
     out = {}
+    parsed = {}
     for key, entry in zip(keys, entries):
-        value = parse_rational(entry["value"])
+        text = entry["value"]
+        if type(text) is str:
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = parse_rational(text)
+        else:
+            value = parse_rational(text)
         if key in out:
             out[key] += value
         else:
@@ -136,24 +168,27 @@ def content_of(idx, n):
 
 class Tensor(Sparse):
     """A sparse tensor over a ``Space`` with one size, its ``size_field``; a
-    subclass gives the component codec (``components_json`` and
-    ``from_components(space, size, entries)``) that every document uses."""
+    subclass gives the component codec that every document uses: its
+    ``json_fields``, which name a component's fields for
+    ``components_json`` (the parts of its key, then its value), and
+    ``from_components(space, size, entries)``."""
 
     __slots__ = ()
 
-    def to_json_obj(self):
+    def json_frame(self):
+        """The document with this tensor in place of its components list."""
         space, size = self._shape()
-        return {
-            "n": space.n,
-            "signature": list(space.signature),
-            self.size_field: size,
-            "components": self.components_json(),
-        }
+        return {"n": space.n, "signature": list(space.signature), self.size_field: size,
+                "components": self}
+
+    def to_json_obj(self):
+        return json_obj(self.json_frame())
 
     @classmethod
     def from_json_obj(cls, obj):
         return cls.from_components(Space(obj["n"], tuple(obj["signature"])),
-                                   int_field(obj, cls.size_field), obj["components"])
+                                   int_field(obj, cls.size_field),
+                                   list_field(obj, "components"))
 
     def __repr__(self):
         space, size = self._shape()
@@ -171,6 +206,7 @@ class SymPairTensor(Tensor):
 
     __slots__ = ("space", "k")
     size_field = "k"
+    json_fields = ("sym", "pair", "value")
 
     def __init__(self, space, k, comps=None):
         self.space = space
@@ -187,10 +223,6 @@ class SymPairTensor(Tensor):
     def get(self, sym, pair):
         key = (tuple(sorted(sym)), tuple(sorted(pair)))
         return self.coeffs.get(key, Fraction(0))
-
-    def components_json(self):
-        return [{"sym": list(sym), "pair": list(pair), "value": format_rational(v)}
-                for (sym, pair), v in self.sorted_terms()]
 
     @classmethod
     def from_components(cls, space, k, entries):
@@ -312,6 +344,7 @@ class MultiTensor(Tensor):
 
     __slots__ = ("space", "arity")
     size_field = "arity"
+    json_fields = ("idx", "value")
 
     def __init__(self, space, arity, comps=None):
         self.space = space
@@ -340,9 +373,6 @@ class MultiTensor(Tensor):
         sigma = list(range(self.arity))
         sigma[s1], sigma[s2] = sigma[s2], sigma[s1]
         return self.permuted(sigma)
-
-    def components_json(self):
-        return [{"idx": list(idx), "value": format_rational(v)} for idx, v in self.sorted_terms()]
 
     @classmethod
     def from_components(cls, space, arity, entries):

@@ -261,6 +261,15 @@ class TestOutputPaths:
         self.assert_refused(capsys, "example", "--out", str(taken))
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command, name", [("expand", "jet.json"), ("expand", "symjet.json"),
+                                               ("jet", "metric.json"), ("extend", "jet.json")])
+    def test_stdout_equals_file(self, command, name, example_dir, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code, text, _ = run(capsys, command, str(example_dir / name), "-o", "-")
+        assert code == 0
+        assert run(capsys, command, str(example_dir / name), "-o", str(out))[0] == 0
+        assert text.encode() == out.read_bytes()
+
 
 class TestRoundtripCommand:
     def test_random_metric(self, tmp_path, capsys):
@@ -425,6 +434,37 @@ class TestInputContract:
         code, out, err = run(capsys, command, str(f))
         assert code == 2 and out == ""
         assert f"error: {f} is not a jet file: need order >= 0" in err
+
+
+# every field of each document kind that holds a list, as a path
+LIST_FIELDS = {"jet": [("levels",), ("levels", 0, "components")],
+               "symjet": [("levels",), ("levels", 0, "components")],
+               "metric": [("parts",), ("parts", 0, "components")]}
+LIST_CASES = [pytest.param(kind, path, command, id=f"{kind}-{path[-1]}-{command}")
+              for kind, paths in LIST_FIELDS.items() for path in paths
+              for command in COMMANDS[kind]]
+
+
+class TestListFields:
+    """A dict or a string where a document holds a list is bad input: an empty
+    one would read as no entries, and a non-empty one as keys or characters."""
+
+    @pytest.mark.parametrize("value", [{}, "", {"idx": [0]}, "ab"],
+                             ids=["empty-dict", "empty-string", "dict", "string"])
+    @pytest.mark.parametrize("kind,path,command", LIST_CASES)
+    def test_non_list_refused(self, kind, path, command, value, tmp_path, capsys):
+        doc = copy.deepcopy(n2_documents()[kind])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(f), *(["-o", str(tmp_path / "out.json")]
+                                                         if command != "roundtrip" else []))
+        assert code == 2 and out == ""
+        assert err.endswith(f"{path[-1]} must be a list\n")
+        assert not (tmp_path / "out.json").exists()
 
 
 # every field of each document kind that gives a size, as a path

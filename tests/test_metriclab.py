@@ -17,7 +17,7 @@ from math import factorial, lcm
 
 import pytest
 
-from jetiso.exactla import format_rational
+from jetiso.exactla import exact_quotient, format_rational
 from jetiso.freealg import evaluate, q_poly
 from jetiso.jets import CurvatureJet, SymJet, jet_from_symjet, symmetrize_jet, validate_jet
 from jetiso.metriclab import (
@@ -44,6 +44,7 @@ from jetiso.tensor import (
     PolyEnd,
     Space,
     SymPairTensor,
+    _unfold,
     content_of,
     gauge_basis,
     multiset_count,
@@ -459,6 +460,26 @@ class TestIntegralSeries:
         for level in range(order):
             cur = _covariant_derivative_dict(cur, level + 4, gamma, space.n, order - level - 1)
             assert cur and only_ints(cur.values()), level
+
+    @pytest.mark.parametrize("space, seed", INTEGRAL_CASES, ids=INTEGRAL_IDS)
+    def test_truncation_zero_step_is_its_derivative_terms(self, space, seed):
+        # Gamma(0) = 0 in normal coordinates, so at truncation 0 no Christoffel
+        # entry meets a component: the step is d_j T[K] truncated to constants
+        g = self.metric(space, seed)
+        order = self.ORDER - 2
+        t, gi = _integral_metric(g)
+        gamma = christoffel_series(gi, order + 1)
+        cur = _lowered_curvature_dict(gi, gamma, order)
+        for level in range(order - 1):
+            cur = _covariant_derivative_dict(cur, level + 4, gamma, space.n, order - level - 1)
+        top = _covariant_derivative_dict(cur, order + 3, gamma, space.n, 0)
+        derivatives = {(j,) + idx: p.diff(j).truncated(0)
+                       for idx, p in cur.items() for j in range(space.n)}
+        assert top == {key: p for key, p in derivatives.items() if not p.is_zero()}
+        scale = t ** (order + 2)
+        reps = {idx: exact_quotient(p.constant_term(), scale) for idx, p in top.items()}
+        want = reference_curvature_jet_at_origin(g, order).levels[order]
+        assert want and MultiTensor(space, order + 4, _unfold(reps)) == want
 
     @pytest.mark.parametrize("space, seed", INTEGRAL_CASES[::2], ids=INTEGRAL_IDS[::2])
     def test_christoffel_dilates_with_weight_degree_plus_one(self, space, seed):
