@@ -8,13 +8,23 @@ Christoffel symbols, curvature, covariant derivatives, and the
 backwards parallel transport factor are computed as truncated
 polynomial series over the rationals.
 
+The curvature comes from the Christoffel symbols of the first kind,
+Gamma_{l,jk} = L_jk[l] / 2, which need no inverse:
+    R(a,b,c,d) = d_a Gamma_{d,bc} - d_b Gamma_{d,ac}
+                 + sum_m (Gamma_{m,bd} Gamma^m_{ac} - Gamma_{m,ad} Gamma^m_{bc}),
+g_dm times the 2-form d_a Gamma_b - d_b Gamma_a + [Gamma_a, Gamma_b] at
+(m, c), as d_a g_dm = Gamma_{d,am} + Gamma_{m,ad}.  Gamma(0) = 0 in normal
+coordinates, so for a jet of order k its products, and every covariant
+step (truncation <= k - 1), read Gamma^m_{jk} to degree k - 1 and g^{-1}
+to degree k - 2.
+
 The metric -> jet route and the jet -> metric synthesis run on ints.
 Both sides are weighted-homogeneous under x -> t x: the metric part of
 degree d scales by t**d and jet level l by t**(l+2).  So a metric is
 dilated by t, twice the least common denominator of its parts, the
 series are computed in integer arithmetic, and each jet level is divided
 by t**(l+2) once at the end; the 2 in t makes every part of degree d
-divisible by 2**d, so the Christoffel symbols g^{-1} L / 2 stay integral.
+divisible by 2**d, so the Christoffel symbols L / 2 and g^{-1} L / 2 stay integral.
 The synthesis dilates the symmetrized jet the same way, checks the gauge
 condition on the integer arrangement sums of each degree-d part, and
 divides each sum once, folding t**d into ``tensor.pair_average``'s
@@ -30,6 +40,7 @@ universal polynomials.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -37,7 +48,7 @@ from math import factorial
 from .exactla import exact_quotient
 from .freealg import evaluate, q_poly, qtilde_poly
 from .jets import CurvatureJet, SymJet, symmetrize_jet
-from .poly import Poly, _dilate_integral, _graded, _graded_mul_into
+from .poly import Poly, _dilate_integral, _graded, _graded_mul_into, _negated
 from .tensor import (
     MultiTensor,
     PolyEnd,
@@ -151,14 +162,19 @@ def metric_form_series(g: PolyMetric, trunc: int) -> PolyEnd:
 
 
 def inverse_series(g: PolyMetric, trunc: int) -> PolyEnd:
-    """Inverse metric g^{ij} as a truncated Neumann series.
+    """Inverse metric g^{ij} as a truncated Neumann series (``_inverse``)."""
+    return _inverse(metric_form_series(g, trunc), trunc)
+
+
+def _inverse(metric: PolyEnd, trunc: int) -> PolyEnd:
+    """The inverse of the metric matrix to degree trunc.
 
     With g = eps (1 + A), where eps is the constant diagonal part,
     g^{-1} = sum_m (-A)^m eps.
     """
-    space = g.space
+    space = metric.space
     eps = space.signature
-    a = metric_form_series(g, trunc) - PolyEnd.diagonal(space, eps)
+    a = metric - PolyEnd.diagonal(space, eps)
     # eps is a diagonal of signs, so eps M scales row i and M eps column j
     minus_a = PolyEnd(space, {(i, j): p.scaled(-eps[i]) for (i, j), p in a.coeffs.items()})
     term = total = PolyEnd.identity(space)
@@ -170,61 +186,96 @@ def inverse_series(g: PolyMetric, trunc: int) -> PolyEnd:
     return PolyEnd(space, {(i, j): p.scaled(eps[j]) for (i, j), p in total.coeffs.items()})
 
 
-def christoffel_series(g: PolyMetric, trunc: int) -> list:
-    """Connection matrices Gamma_j with (Gamma_j)[i, k] = Gamma^i_{jk}.
+def _christoffel(metric: PolyEnd, trunc: int):
+    """Christoffel matrices of both kinds, (first[j])[l, k] = Gamma_{l,jk}
+    in full and (gamma[j])[i, k] = Gamma^i_{jk} to degree trunc.
 
-    Gamma^i_{jk} = sum_l g^{il} L_jk[l] / 2, where
-    L_jk[l] = d_j g_lk + d_k g_jl - d_l g_jk is symmetric in (j, k), so
-    Gamma_j = g^{-1} L_j / 2, where L_j has entries (l, k) = L_jk[l], is
-    formed on the columns k >= j and mirrored, and only on the slots a
-    stored derivative reaches: (l, k) of d_j g, and (l, a) and (a, k) for
-    each stored (j, l) or (j, k) of d_a g.  The halving is exact and leaves
-    an integral coefficient an int.
+    Gamma_{l,jk} = L_jk[l] / 2, with L_jk[l] = d_j g_lk + d_k g_jl - d_l g_jk,
+    is formed on k >= j and mirrored, and only on the slots a stored
+    derivative reaches: (l, k) of d_j g, and (l, a) and (a, k) for each
+    stored (j, l) or (j, k) of d_a g.  Both kinds halve L (g^{-1} L / 2), so
+    an integral value stays an int.  L starts at degree 1, so gamma[j] reads
+    g^{-1} to degree trunc - 1.
     """
-    space = g.space
+    space = metric.space
     n = space.n
-    ginv = inverse_series(g, trunc)
-    metric = metric_form_series(g, trunc + 1)
-    dg = [metric.diff(a) for a in range(n)]
-    # reached[j]: (a, c) for each stored (j, c) of d_a g
-    reached = [[] for _ in range(n)]
+    zero = Poly.zero(n)
+    # dg[a][(i, j)] = d_a g_ij, for the variables x_a that g_ij holds
+    dg = [{} for _ in range(n)]
+    for key, p in metric.coeffs.items():
+        for a in {v for mono in p.coeffs for v in mono}:
+            dg[a][key] = p.diff(a)
+    slots = [set(entries) for entries in dg]
     for a in range(n):
-        for r, c in dg[a].coeffs:
-            reached[r].append((a, c))
-    gamma = [{} for _ in range(n)]
+        for j, c in dg[a]:
+            slots[j].update(((c, a), (a, c)))
+    ginv = _inverse(metric, max(trunc - 1, 0))
+    first, gamma = [{} for _ in range(n)], [{} for _ in range(n)]
     for j in range(n):
-        slots = set(dg[j].coeffs)
-        for a, c in reached[j]:
-            slots.update(((c, a), (a, c)))
-        lowered = PolyEnd(space, {(l, k): dg[j].entry(l, k) + dg[k].entry(j, l) - dg[l].entry(j, k)
-                                  for l, k in sorted(slots) if k >= j})
-        for (i, k), p in ginv.mul(lowered, trunc).coeffs.items():
-            entry = p._with({m: exact_quotient(c, 2) for m, c in p.coeffs.items()})
-            gamma[j][(i, k)] = gamma[k][(i, j)] = entry
-    return [PolyEnd(space, entries) for entries in gamma]
+        lowered = {}
+        for l, k in sorted(lk for lk in slots[j] if lk[1] >= j):
+            p = dg[j].get((l, k), zero) + dg[k].get((j, l), zero) - dg[l].get((j, k), zero)
+            if p:
+                lowered[(l, k)] = p
+                first[j][(l, k)] = first[k][(l, j)] = _halved(p)
+        if lowered:
+            for (i, k), p in ginv.mul(PolyEnd(space, lowered), trunc).coeffs.items():
+                gamma[j][(i, k)] = gamma[k][(i, j)] = _halved(p)
+    return [PolyEnd(space, e) for e in first], [PolyEnd(space, e) for e in gamma]
 
 
-def _lowered_curvature_dict(g: PolyMetric, gamma, trunc):
-    """Fully lowered curvature R(a, b, c, d) as a series dict on representatives.
+def _halved(p: Poly) -> Poly:
+    """p / 2, exactly: an integral coefficient stays an int."""
+    return p._with({m: exact_quotient(c, 2) for m, c in p.coeffs.items()})
 
-    The curvature 2-form has components R_ab = d_a Gamma_b - d_b Gamma_a
-    + Gamma_a Gamma_b - Gamma_b Gamma_a, so R(a, b, c, d) = (g R_ab)[d, c].
-    R is antisymmetric in (a, b) and in (c, d), so only keys with a < b
-    and c < d are stored (see ``_sign_representative``).  R_ab is 0 when
-    Gamma_a and Gamma_b both are, and that pair is skipped.
+
+def christoffel_series(g: PolyMetric, trunc: int) -> list:
+    """Connection matrices Gamma_j with (Gamma_j)[i, k] = Gamma^i_{jk} (``_christoffel``)."""
+    return _christoffel(metric_form_series(g, trunc + 1), trunc)[1]
+
+
+def _lowered_curvature(first, gamma, trunc):
+    """Fully lowered curvature R(a, b, c, d) to degree trunc, as a series dict
+    on the sign representatives a < b, c < d (``_sign_representative``), by
+    the first-kind formula of the module docstring.  It scatters over stored
+    entries: d_y of a first-kind entry (x; d, c), and each product of a
+    stored Gamma_{m,xd} and Gamma^m_{yc}, with c < d and y != x, land on
+    (y, x, c, d) with + when y < x and on (x, y, c, d) with - when x < y.
+    Both factors of a product start at degree 1: each is read to trunc - 1.
     """
-    metric = metric_form_series(g, trunc)
-    out = {}
-    for a in range(g.space.n):
-        for b in range(a + 1, g.space.n):
-            ga, gb = gamma[a], gamma[b]
-            if not (ga or gb):
+    out = defaultdict(dict)
+
+    def landing(x, y, c, d):
+        return (out[(y, x, c, d)], 1) if y < x else (out[(x, y, c, d)], -1)
+
+    for x, fx in enumerate(first):
+        for (d, c), p in fx.coeffs.items():
+            if c >= d:
                 continue
-            two_form = gb.diff(a) - ga.diff(b) + ga.mul(gb, trunc) - gb.mul(ga, trunc)
-            for (d, c), p in metric.mul(two_form, trunc).coeffs.items():
-                if c < d:
-                    out[(a, b, c, d)] = p
-    return out
+            for y in sorted({v for mono in p.coeffs for v in mono} - {x}):
+                acc, sign = landing(x, y, c, d)
+                for mono, v in p.diff(y).truncated(trunc).coeffs.items():
+                    acc[mono] = acc.get(mono, 0) + sign * v
+    # rows[m]: (y, c, graded Gamma^m_{yc}) for each stored entry
+    rows = defaultdict(list)
+    for y, gy in enumerate(gamma):
+        for (m, c), q in gy.coeffs.items():
+            if graded := _graded(q.coeffs, trunc - 1):
+                rows[m].append((y, c, graded))
+    for x, fx in enumerate(first):
+        for (m, d), p in fx.coeffs.items():
+            row = rows.get(m)
+            graded = row and _graded(p.coeffs, trunc - 1)
+            if not graded:
+                continue
+            by_sign = {1: graded, -1: _negated(graded)}
+            for y, c, q in row:
+                if y != x and c < d:
+                    acc, sign = landing(x, y, c, d)
+                    _graded_mul_into(acc, by_sign[sign], q, trunc)
+    zero = Poly.zero(len(first))
+    return {key: zero._with(nonzero) for key, coeffs in out.items()
+            if (nonzero := {m: v for m, v in coeffs.items() if v})}
 
 
 def _covariant_derivative_dict(t, arity, gamma, n, trunc):
@@ -246,7 +297,7 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
     components of degree < trunc: each component is graded to trunc - 1,
     and at trunc 0 the result is the derivative terms alone.
     """
-    out = {}
+    out = defaultdict(dict)
     for idx, p in t.items():
         for j in range(n):
             d = p.diff(j).truncated(trunc)
@@ -259,26 +310,20 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
     weights = {}
     for j in range(n):
         for key, gp in gamma[j].coeffs.items():
-            weights.setdefault(key, []).append(
-                (j, {1: _graded((-gp).coeffs, trunc), -1: _graded(gp.coeffs, trunc)}))
+            if graded := _graded(gp.coeffs, trunc):
+                weights.setdefault(key, []).append((j, {1: _negated(graded), -1: graded}))
     for idx, p in t.items():
         graded = _graded(p.coeffs, trunc - 1)
         for s in range(arity):
             ms = idx[s]
             for c in range(n):
                 terms = weights.get((ms, c))
-                if terms is None:
-                    continue
-                moved = _sign_representative(idx[:s] + (c,) + idx[s + 1:])
-                if moved is None:
+                moved = terms and _sign_representative(idx[:s] + (c,) + idx[s + 1:])
+                if not moved:
                     continue
                 rest, sign = moved
                 for j, by_sign in terms:
-                    key = (j,) + rest
-                    acc = out.get(key)
-                    if acc is None:
-                        acc = out[key] = {}
-                    _graded_mul_into(acc, by_sign[sign], graded, trunc)
+                    _graded_mul_into(out[(j,) + rest], by_sign[sign], graded, trunc)
     return {key: zero._with(coeffs) for key, coeffs in out.items() if coeffs}
 
 
@@ -286,8 +331,8 @@ def _integral_metric(g: PolyMetric):
     """g dilated into ints: (t, the metric whose part of degree d is t**d times g's).
 
     t is twice the least common denominator of g's parts, so every part of
-    degree d >= 2 is divisible by 2**d and each L_jk in
-    ``christoffel_series`` is even (parts of degree 1 are 0 by the gauge).
+    degree d >= 2 is divisible by 2**d and each L_jk in ``_christoffel``
+    is even (parts of degree 1 are 0 by the gauge).
     """
     degrees = sorted(g.parts)
     t, parts = _dilate_integral([(d, g.parts[d]) for d in degrees], factor=2)
@@ -297,6 +342,8 @@ def _integral_metric(g: PolyMetric):
 def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
     """Jet of the curvature and its covariant derivatives at the origin.
 
+    R to degree k = order takes the first kind to degree k + 1 and the second
+    to max(k - 1, 0), all that R and the covariant steps read (module docstring).
     The series run on ``_integral_metric(g)``, whose level l is t**(l+2)
     times g's, so each level's constant terms are divided by t**(l+2).
     They are carried on sign representatives (``_sign_representative``),
@@ -305,8 +352,8 @@ def curvature_jet_at_origin(g: PolyMetric, order: int) -> CurvatureJet:
     space = g.space
     n = space.n
     t, g = _integral_metric(g)
-    gamma = christoffel_series(g, order + 1)
-    cur = _lowered_curvature_dict(g, gamma, order)
+    first, gamma = _christoffel(metric_form_series(g, order + 2), max(order - 1, 0))
+    cur = _lowered_curvature(first, gamma, order)
     levels = []
     level_trunc = order
     for level in range(order + 1):

@@ -203,6 +203,11 @@ def _graded(coeffs, max_deg):
     return out
 
 
+def _negated(graded):
+    """A ``_graded`` operand with every coefficient negated."""
+    return {d: [(mono, -c) for mono, c in terms] for d, terms in graded.items()}
+
+
 def _graded_mul_into(out, graded_a, graded_b, trunc):
     """Add the product of two ``_graded`` operands into ``out``.
 

@@ -17,15 +17,17 @@ from math import factorial, lcm
 
 import pytest
 
+from jetiso import metriclab
 from jetiso.exactla import exact_quotient, format_rational
 from jetiso.freealg import evaluate, q_poly
 from jetiso.jets import CurvatureJet, SymJet, jet_from_symjet, symmetrize_jet, validate_jet
 from jetiso.metriclab import (
     GaugeError,
     PolyMetric,
+    _christoffel,
     _covariant_derivative_dict,
     _integral_metric,
-    _lowered_curvature_dict,
+    _lowered_curvature,
     christoffel_series,
     const_curvature_jet,
     curvature_jet_at_origin,
@@ -299,6 +301,52 @@ def reference_lowered_curvature(g, gamma, trunc):
     return out
 
 
+def on_representatives(full):
+    """The nonzero entries of a lowered curvature dict at its keys with a < b and c < d."""
+    return {key: p for key, p in full.items() if key[0] < key[1] and key[2] < key[3] and p}
+
+
+def route_curvature(g, order):
+    """The start of the series route: the first kind in full, the second
+    kind to degree max(order - 1, 0), and R to degree order."""
+    first, gamma = _christoffel(metric_form_series(g, order + 2), max(order - 1, 0))
+    return first, gamma, _lowered_curvature(first, gamma, order)
+
+
+class TestFirstKindCurvature:
+    """``_lowered_curvature`` forms R from the Christoffel symbols of the first
+    kind with Gamma to degree k - 1; the commutator of the second-kind
+    matrices with Gamma to degree k + 1 is the reference."""
+
+    @pytest.mark.parametrize("space, order", [
+        (E2, 4), (L2, 4), (E3, 3), (L3, 3), (L4, 2), (E3, 0), (L3, 0), (E3, 1), (L3, 1)],
+        ids=["e2-4", "l2-4", "e3-3", "l3-3", "l4-2", "e3-0", "l3-0", "e3-1", "l3-1"])
+    def test_matches_commutator_formula(self, space, order):
+        g = random_normal_metric(space, order + 2, random.Random(70 + space.n))
+        *_, cur = route_curvature(g, order)
+        gamma = christoffel_series(g, order + 1)
+        want = on_representatives(reference_lowered_curvature(g, gamma, order))
+        assert want and cur == want
+
+    @pytest.mark.parametrize("space", [E2, L3], ids=["e2", "l3"])
+    def test_fraction_metric(self, space):
+        order = 2
+        rng = random.Random(f"first-kind:{space}")
+        g = make_normal_metric(space, mixed_gauge_tensors(space, range(2, order + 3), rng))
+        first, _, cur = route_curvature(g, order)
+        gamma = christoffel_series(g, order + 1)
+        want = on_representatives(reference_lowered_curvature(g, gamma, order))
+        assert want and cur == want
+        # both kinds halve L once, so an integral value is an int
+        assert exact_scalars(c for m in first + gamma for p in m.coeffs.values()
+                             for c in p.coeffs.values())
+        assert not only_ints(cur.values())
+        t, gi = _integral_metric(g)
+        first, gamma, cur = route_curvature(gi, order)
+        assert only_ints(p for m in first + gamma for p in m.coeffs.values())
+        assert cur and only_ints(cur.values())
+
+
 def reference_covariant_derivative_dict(t, arity, gamma, n, trunc):
     """One covariant derivative scattered from every stored component:
     T[idx] feeds each output slot value c with weight -Gamma^{idx_s}_{j c}."""
@@ -453,9 +501,8 @@ class TestIntegralSeries:
         for d, h in gi.parts.items():
             assert h == g.parts[d].scaled(t ** d)
             assert all(type(v) is int for v in h.coeffs.values())
-        gamma = christoffel_series(gi, order + 1)
-        assert only_ints(p for m in gamma for p in m.coeffs.values())
-        cur = _lowered_curvature_dict(gi, gamma, order)
+        assert only_ints(p for m in christoffel_series(gi, order + 1) for p in m.coeffs.values())
+        _, gamma, cur = route_curvature(gi, order)
         assert cur and only_ints(cur.values())
         for level in range(order):
             cur = _covariant_derivative_dict(cur, level + 4, gamma, space.n, order - level - 1)
@@ -468,8 +515,7 @@ class TestIntegralSeries:
         g = self.metric(space, seed)
         order = self.ORDER - 2
         t, gi = _integral_metric(g)
-        gamma = christoffel_series(gi, order + 1)
-        cur = _lowered_curvature_dict(gi, gamma, order)
+        _, gamma, cur = route_curvature(gi, order)
         for level in range(order - 1):
             cur = _covariant_derivative_dict(cur, level + 4, gamma, space.n, order - level - 1)
         top = _covariant_derivative_dict(cur, order + 3, gamma, space.n, 0)
@@ -527,13 +573,15 @@ class TestSparseMetrics:
         assert curvature_jet_at_origin(g, 2) == want
 
     def test_flat_pairs_form_no_product(self, monkeypatch):
-        # R_ab is 0 when Gamma_a and Gamma_b both are; the pair loop skips it
+        # the curvature scatters over stored Christoffel entries, and a flat metric stores none
         g = make_normal_metric(Space.euclidean(40), [])
-        gamma = christoffel_series(g, 1)
+        first, gamma = _christoffel(metric_form_series(g, 3), 1)
+        assert not any(first) and not any(gamma)
         calls = []
-        mul = PolyEnd.mul
-        monkeypatch.setattr(PolyEnd, "mul", lambda self, *args: calls.append(args) or mul(self, *args))
-        assert _lowered_curvature_dict(g, gamma, 0) == {}
+        mul_into = metriclab._graded_mul_into
+        monkeypatch.setattr(metriclab, "_graded_mul_into",
+                            lambda *args: calls.append(args) or mul_into(*args))
+        assert _lowered_curvature(first, gamma, 2) == {}
         assert len(calls) == 0
 
     def test_zero_jet_metric_stays_small(self):
@@ -762,3 +810,10 @@ class TestPinnedSeries:
                 lines.append(json.dumps(metric_from_symjet(s).to_json_obj(), sort_keys=True))
                 h.update("\n".join(lines).encode())
         assert h.hexdigest() == "a81049d5107d9aae80ac1696097f07694aef768fc114b34b5a2b99c6dedbe949"
+
+    def test_reference_jet_digest(self):
+        # the reference input of the measured series-route timings (n=4, order 3)
+        g = metric_from_symjet(random_symjet(Space(4, (-1, 1, 1, 1)), 3, random.Random(5)))
+        jet = curvature_jet_at_origin(g, 3)
+        digest = hashlib.sha256(json.dumps(jet.to_json_obj(), sort_keys=True).encode()).hexdigest()
+        assert digest.startswith("60409fc3f217de0f")
