@@ -160,19 +160,3 @@ def nullspace_basis(m: RatMatrix):
         basis.append(v)
     return basis
 
-
-def solve_affine(a: RatMatrix, b):
-    """One exact solution of ``a x = b``, or None if inconsistent.
-
-    Free variables are set to zero, so the returned solution is
-    canonical.
-    """
-    if len(b) != a.rows:
-        raise ValueError("rhs length does not match row count")
-    red, pivots = rref(RatMatrix([row + [rhs] for row, rhs in zip(a.data, b)], a.cols + 1))
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [Fraction(0)] * a.cols
-    for row, p in zip(red.data, pivots):
-        x[p] = row[-1]
-    return x

@@ -38,6 +38,10 @@ components are reconstructed from their total symmetrization by a
 Kulkarni-Nomizu product, and the Young symmetrizer of hook shape acts
 on them by an explicit integer eigenvalue.
 
+The algebraic route ``jet_from_symjet`` builds each level in closed form,
+as an explicit affine image of its symmetrization and of the Ricci right
+sides of the levels below (``_extend``); it builds no linear system.
+
 Both jet kinds are pulled back by a signed permutation level by level,
 through the one ``tensor.pullback`` (``Jet.pullback``).
 """
@@ -48,14 +52,16 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
-from .exactla import RatMatrix, exact_quotient, format_rational, nullspace_basis, solve_affine
+from .exactla import RatMatrix, exact_quotient, format_rational, nullspace_basis
 from .poly import _dilate_integral
 from .tensor import (
     MultiTensor,
     Space,
     SymPairTensor,
+    _sign_images,
     _sign_representative,
     _unfold,
     content_of,
@@ -64,6 +70,7 @@ from .tensor import (
     json_obj,
     kulkarni,
     list_field,
+    multiset_count,
     pair_average,
     pullback,
 )
@@ -342,12 +349,24 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
     """
     if not 1 <= i <= level - 1:
         raise ValueError("need 1 <= i <= level-1")
+    splits = {l: _sign_split(jet.levels[l]) for l in (level, *range(level - i - 1, level - 1))}
+    return _ricci_defect(jet, splits, level, i)
+
+
+def _ricci_defect(jet, splits, level, i):
+    """``ricci_defect`` of levels already split: ``splits`` maps each level
+    it reads to its ``_sign_split``."""
+    reps, rest = _ricci_parts(jet, splits, level, i)
+    out = _unfold(reps)
+    for idx, v in rest.items():
+        out[idx] = out.get(idx, 0) + v
+    return jet.levels[level]._with({idx: v for idx, v in out.items() if v})
+
+
+def _ricci_parts(jet, splits, level, i):
+    """``_ricci_defect`` in two parts: the defect of the consistent orbits on
+    their sign representatives, and that of the rest in full."""
     p = i - 1
-    q = level - i - 1
-    reps, rest = {}, {}
-    for l in (level, *range(q, p + q + 1)):
-        t = jet.levels[l]
-        reps[l], rest[l] = (t._with(part) for part in _sign_split(t))
     forms = []
     for r in range(p + 1):
         by_head = defaultdict(dict)
@@ -360,26 +379,24 @@ def ricci_defect(jet: "CurvatureJet", level: int, i: int) -> MultiTensor:
             placements.append(sorted(range(p), key=order.__getitem__))
         forms.append((placements, [(head, MultiTensor(jet.space, 2, comps))
                                    for head, comps in by_head.items()]))
-    out = _unfold(_exchange_defect(reps, forms, level, p, True))
-    for idx, v in _exchange_defect(rest, forms, level, p, False).items():
-        out[idx] = out.get(idx, 0) + v
-    return jet.levels[level]._with({idx: v for idx, v in out.items() if v})
+    return tuple(_exchange_defect(jet, splits, part, forms, level, p) for part in (0, 1))
 
 
-def _exchange_defect(levels, forms, level, p, fold):
-    """``ricci_defect`` on one part of each level it reads (``levels`` maps a
-    level to that part), with ``forms`` holding per r the placements and
-    the forms of level r by head; with ``fold``, each acted key is moved to
-    its sign representative."""
-    t = levels[level]
+def _exchange_defect(jet, splits, part, forms, level, p):
+    """``ricci_defect`` on one part of each level it reads (part 0 of its
+    ``_sign_split``, the representatives, or part 1, the rest), with
+    ``forms`` holding per r the placements and the forms of level r by
+    head; on the representatives, each acted key is moved to its sign
+    representative."""
+    t = jet.levels[level]._with(splits[level][part])
     out = (t - t.swapped(p, p + 1)).coeffs
     for r, (placements, by_head) in enumerate(forms):
-        target = levels[level - 2 - r]
+        target = jet.levels[level - 2 - r]._with(splits[level - 2 - r][part])
         if not target:
             continue
         for head, form in by_head:
             acted = derivation_apply(form, target, p - r).coeffs
-            if fold:
+            if not part:
                 acted = _fold(acted)
             v_i, pair = head[:r], head[r:]
             for idx, v in acted.items():
@@ -416,8 +433,8 @@ def _dilation_violations(scale, jet: "CurvatureJet"):
     tested on the representatives.  A defect is built in full only where
     a test fails, or on a level that is not antisymmetric, to report it."""
     out = []
-    for level, t in enumerate(jet.levels):
-        reps, rest = _sign_split(t)
+    splits = [_sign_split(t) for t in jet.levels]
+    for level, (t, (reps, rest)) in enumerate(zip(jet.levels, splits)):
         k = level  # the derivative slots before the four curvature slots
         if rest:
             _check(out, level, "antisymmetry", (k + 1, k + 2), t + t.swapped(k, k + 1))
@@ -430,7 +447,7 @@ def _dilation_violations(scale, jet: "CurvatureJet"):
         if level >= 1 and (rest or not _cyclic_sum_vanishes(reps, second=True)):
             _check(out, level, "bianchi2", (level, level + 1, level + 2), _cyclic_sum(t, level - 1))
         for i in range(1, level):
-            _check(out, level, "ricci", (i, i + 1), ricci_defect(jet, level, i))
+            _check(out, level, "ricci", (i, i + 1), _ricci_defect(jet, splits, level, i))
     for v in out:
         v.value = exact_quotient(v.value, scale ** (v.level + 2))
     return out
@@ -545,7 +562,7 @@ def young_symmetrize(t: MultiTensor) -> MultiTensor:
 
 
 # ---------------------------------------------------------------------------
-# the Bianchi constraint system: linear jet basis and extension by solve
+# the Bianchi constraint system of the linear jet components
 
 
 def _canonical_curvature_index(idx):
@@ -565,78 +582,51 @@ def _canonical_curvature_index(idx):
     return min(rep, rep[:-4] + rep[-2:] + rep[-4:-2]), sign
 
 
-def _bianchi_system(space: Space, k: int, symmetric: bool, extra_rows=()):
-    """The Bianchi identities at level k as blocked integer systems.
+def _bianchi_system(space: Space, k: int):
+    """The Bianchi identities on the order-k linear jet components, as
+    blocked integer systems.
 
-    Unknowns are the classes of (k+4)-index tuples under the curvature
-    sign group, keyed by ``_canonical_curvature_index`` on the sign
-    representatives that the validator and the series route store, and
-    also under permutations of the derivative slots when ``symmetric``
-    is set (linear jet components).  Rows are the first
-    and second Bianchi identities with zero right side, plus
-    ``extra_rows``, an iterable of ([(index, coeff), ...], rhs) pairs.
-    Each row is reduced to primitive integer form with its first
-    coefficient positive, its right side scaled alike, and duplicates
-    are dropped; since every row is content-homogeneous, the system
-    splits by index content.
-
-    Returns (canon, blocks): canon maps each index tuple to
-    (class, sign) or None, and blocks holds one (classes, RatMatrix,
-    rhs) per content, in sorted content order.  A block's matrix has
-    one column per class even when no row falls in its content, so
-    every class there is free.
+    Unknowns are the classes of (k+4)-index tuples under the curvature sign
+    group (``_canonical_curvature_index``) after their derivative slots are
+    sorted.  Each row is reduced to primitive integer form with its first
+    coefficient positive, duplicates dropped, and split by index content.
+    Returns (canon, blocks): canon maps each index tuple to (class, sign) or
+    None, and blocks holds one (classes, RatMatrix) per content, in sorted
+    content order, with a column for every class of that content.
     """
     n = space.n
     canon = {}
     classes = defaultdict(set)
     for idx in itertools.product(range(n), repeat=k + 4):
-        key = tuple(sorted(idx[:k])) + idx[k:] if symmetric else idx
-        res = canon[idx] = _canonical_curvature_index(key)
+        res = canon[idx] = _canonical_curvature_index(tuple(sorted(idx[:k])) + idx[k:])
         if res is not None:
             classes[content_of(res[0], n)].add(res[0])
 
     rows = defaultdict(set)
 
-    def add_row(index_terms, rhs):
+    def add_row(indices):
         terms = defaultdict(int)
-        for idx, coeff in index_terms:
-            res = canon[idx]
-            if res is not None:
-                terms[res[0]] += res[1] * coeff
+        for idx in indices:
+            if (res := canon[idx]) is not None:
+                terms[res[0]] += res[1]
         items = sorted((key, c) for key, c in terms.items() if c)
-        if not items:
-            if rhs:
-                raise ArithmeticError("inconsistent forced-zero constraint")
-            return
-        g = gcd(*(c for _, c in items))
-        if items[0][1] < 0:
-            g = -g
-        row = tuple((key, c // g) for key, c in items)
-        rows[content_of(items[0][0], n)].add((row, Fraction(rhs) / g))
+        if items:
+            g = gcd(*(c for _, c in items)) * (1 if items[0][1] > 0 else -1)
+            rows[content_of(items[0][0], n)].add(tuple((key, c // g) for key, c in items))
 
     for idx in itertools.product(range(n), repeat=k + 4):
         lead = idx[:k]
         a, b, c, d = idx[k:]
-        add_row([(lead + (a, b, c, d), 1),
-                 (lead + (b, c, a, d), 1),
-                 (lead + (c, a, b, d), 1)], 0)
+        add_row([lead + (a, b, c, d), lead + (b, c, a, d), lead + (c, a, b, d)])
         if k >= 1:
             rest, x = lead[:-1], lead[-1]
-            add_row([(rest + (x, a, b, c, d), 1),
-                     (rest + (a, b, x, c, d), 1),
-                     (rest + (b, x, a, c, d), 1)], 0)
-    for index_terms, rhs in extra_rows:
-        add_row(index_terms, rhs)
+            add_row([rest + (x, a, b, c, d), rest + (a, b, x, c, d), rest + (b, x, a, c, d)])
 
     blocks = []
     for cont in sorted(classes):
         cols = sorted(classes[cont])
-        system = sorted(rows[cont])
-        dense = []
-        for row, _ in system:
-            terms = dict(row)
-            dense.append([terms.get(key, 0) for key in cols])
-        blocks.append((cols, RatMatrix(dense, len(cols)), [rhs for _, rhs in system]))
+        dense = [[terms.get(key, 0) for key in cols] for terms in map(dict, sorted(rows[cont]))]
+        blocks.append((cols, RatMatrix(dense, len(cols))))
     return canon, blocks
 
 
@@ -649,62 +639,126 @@ def _scatter(space: Space, k: int, canon, values) -> MultiTensor:
 def linear_jet_basis(space: Space, k: int):
     """Deterministic basis of the order-k linear jet components.
 
-    The nullspace of the homogeneous Bianchi system on
-    derivative-symmetric classes, one content block at a time.
+    The nullspace of the Bianchi system on derivative-symmetric classes,
+    one content block at a time: an oracle of the membership test.
     """
-    canon, blocks = _bianchi_system(space, k, symmetric=True)
+    canon, blocks = _bianchi_system(space, k)
     return [_scatter(space, k, canon, dict(zip(cols, vec)))
-            for cols, matrix, _ in blocks
-            for vec in nullspace_basis(matrix)]
+            for cols, matrix in blocks for vec in nullspace_basis(matrix)]
 
 
 # ---------------------------------------------------------------------------
-# the algebraic route: one extension step, folded over the levels
+# the algebraic route: each level in closed form, folded over the levels
+
+
+@lru_cache(maxsize=None)
+def _arrangements(m):
+    """The distinct arrangements of the sorted tuple m, in lexicographic order."""
+    if not m:
+        return ((),)
+    return tuple((v,) + rest for j, v in enumerate(m) if m.index(v) == j
+                 for rest in _arrangements(m[:j] + m[j + 1:]))
+
+
+def _project_b2(x, k):
+    """P~ B2 x in ints, for x on the sign representatives of a level k tensor
+    (x_1, .., x_k; a, b, c, d); the result is keyed by sorted x_1, .., x_k.
+
+    B2, the cyclic sum over (x_k, a, b), adds each entry at the rotations of
+    its (x_k, a, b).  P~ = 24 k! P_V, for P_V the projection onto V = Sym^k
+    tensor the algebraic curvature tensors: k! Sym_D adds each arrangement
+    of the derivative slots to its sorted key, times the permutations it
+    stands for; Y + (Y with its pairs exchanged) is 2 times the projection
+    onto pair symmetry; 2X - X.c - X.c^2 is 3 times the Bianchi projection
+    for the cycle c of (a, b, c), scattered from all four sign images of a
+    key, so 4 times over at each representative.
+    """
+    fk = factorial(k)
+    sums = defaultdict(int)
+    for idx, v in x.items():
+        head, (z1, z2, z3), tail = idx[:k - 1], idx[k - 1:k + 2], idx[-2:]
+        for p, q, r in ((z1, z2, z3), (z3, z1, z2), (z2, z3, z1)):
+            if q != r:
+                key = tuple(sorted(head + (p,))) + ((q, r) if q < r else (r, q)) + tail
+                sums[key] += v if q < r else -v
+    pairs = defaultdict(int)
+    for key, v in sums.items():
+        v *= fk // multiset_count(key[:k])
+        pairs[key] += v
+        pairs[key[:k] + key[-2:] + key[-4:-2]] += v
+    out = defaultdict(int)
+    for key, v in pairs.items():
+        for image, sign in _sign_images(key):
+            head, (a, b, c, d) = image[:-4], image[-4:]
+            for rot, w in (((a, b, c), 2 * sign), ((c, a, b), -sign), ((b, c, a), -sign)):
+                if moved := _sign_representative(head + rot + (d,)):
+                    out[moved[0]] += moved[1] * w * v
+    return {key: v for key, v in out.items() if v}
 
 
 def _extend(jet: CurvatureJet, h: SymPairTensor) -> CurvatureJet:
     """Extend a valid jet by the one valid level that symmetrizes to h.
 
-    The unknown top tensor satisfies inhomogeneous Ricci identities
-    (right sides from the lower levels) plus the Bianchi and curvature
-    symmetries.  Its solutions form an affine space over the linear jet
-    components, on which symmetrization is a bijection: an exact
-    particular solution P is corrected by the linear component whose
-    symmetrization is h - sym(P).
+    At k = 0 and 1 it is ``reconstruct_linear(h)``.  At level k >= 2 it is
+    T = K + ``reconstruct_linear(h)`` + S', from the Ricci right sides
+    rho_i = T - T.s_i (s_i swaps derivative slots i and i+1):
+
+    * G = T - (T at sorted derivative slots) is 0 on sorted keys, and
+      G[idx] = G[idx'] + rho_(j+1)[idx], where idx' swaps the first descent j;
+    * K = G - Sym_D G, so T - K = Sym_D T lies in V (``_project_b2``),
+      symmetrizes to h and has B2 (T - K) = beta = -B2 K, as B2 T = 0;
+    * with u = P_V beta, S' = ((nu1 + nu2) u - P_V B2 u) / (nu1 nu2): B2 kills
+      the component of V that ``reconstruct_linear`` reaches, and P_V B2
+      acts on the other two by nu1 = (k+2)/k and nu2 = (k+3)/(2k).
+
+    It runs on the integral dilation by t, on sign representatives, in ints,
+    forming G only on the (sorted derivative slots, tail) groups that rho
+    reaches.  With c = 24 k!, K~ = k! t^(k+2) K and u~ = P~ (-B2 K~),
+    K + S' = (c^2 (k+2)(k+3) K~ + (3k+7) k c u~ - 2 k^2 P~ B2 u~)
+    / (c^2 k! (k+2)(k+3) t^(k+2)), one exact division per entry.
     """
-    space = jet.space
-    k1 = jet.order + 1
-    # The defect formula only reads levels <= k1 - 2, all known.
-    padded = CurvatureJet(space, jet.levels + [MultiTensor.zero(space, k1 + 4)])
-
-    def ricci_rows():
-        # Ricci identities with right-hand sides from the lower levels:
-        # defect = (T - T.swap) - rhs_of_lower_levels = -rhs here, so the
-        # constraint on the unknown T is T - T.swap = -defect
-        for i in range(1, k1):
-            rhs_tensor = ricci_defect(padded, k1, i).scaled(-1)
-            for idx in rhs_tensor.iter_indices():
-                swapped = idx[:i - 1] + (idx[i], idx[i - 1]) + idx[i + 1:]
-                if swapped > idx:
-                    yield [(idx, 1), (swapped, -1)], rhs_tensor.get(idx)
-
-    canon, blocks = _bianchi_system(space, k1, symmetric=False, extra_rows=ricci_rows())
-    solution = {}
-    for cols, matrix, rhs in blocks:
-        x = solve_affine(matrix, rhs)
-        if x is None:
-            raise ArithmeticError("extension system is inconsistent")
-        solution.update(zip(cols, x))
-    top = _scatter(space, k1, canon, solution)
-    top = top + reconstruct_linear(h - _symmetrize_level(top, k1))
-    return CurvatureJet(space, jet.levels + [top])
+    space, k = jet.space, jet.order + 1
+    top = reconstruct_linear(h)
+    if k < 2:
+        return CurvatureJet(space, jet.levels + [top])
+    t, dilated = _integral_dilation(jet)
+    padded = CurvatureJet(space, dilated.levels + [MultiTensor.zero(space, k + 4)])
+    splits = [_sign_split(lv) for lv in dilated.levels] + [({}, {})]
+    rho = [{idx: -v for idx, v in _ricci_parts(padded, splits, k, i)[0].items() if v}
+           for i in range(1, k)]
+    groups = defaultdict(set)
+    for idx in itertools.chain(*rho):
+        groups[tuple(sorted(idx[:k]))].add(idx[k:])
+    fk = factorial(k)
+    kt = {}
+    for m, tails in groups.items():
+        arrangements = _arrangements(m)
+        for tail in tails:
+            g = {m: 0}
+            for a in arrangements[1:]:
+                j = next(j for j in range(k - 1) if a[j] > a[j + 1])
+                g[a] = g[a[:j] + (a[j + 1], a[j]) + a[j + 2:]] + rho[j].get(a + tail, 0)
+            mean = fk // len(arrangements) * sum(g.values())
+            kt.update((a + tail, fk * v - mean) for a, v in g.items())
+    c = 24 * fk
+    u = {key: -v for key, v in _project_b2(kt, k).items()}
+    pu = _project_b2({a + key[k:]: v for key, v in u.items() for a in _arrangements(key[:k])}, k)
+    num = {}
+    for key in u.keys() | pu.keys():
+        v = (3 * k + 7) * k * c * u.get(key, 0) - 2 * k * k * pu.get(key, 0)
+        num.update((a + key[k:], v) for a in _arrangements(key[:k]))
+    for key, v in kt.items():
+        num[key] = num.get(key, 0) + c * c * (k + 2) * (k + 3) * v
+    den = c * c * fk * (k + 2) * (k + 3) * t ** (k + 2)
+    forced = _unfold({key: exact_quotient(v, den) for key, v in num.items() if v})
+    return CurvatureJet(space, jet.levels + [top + MultiTensor(space, k + 4, forced)])
 
 
 def jet_from_symjet(s: SymJet) -> CurvatureJet:
-    """Curvature jet with the given symmetrization, built level by level:
-    the algebraic route, the oracle of the CLI's series route."""
+    """Curvature jet with the given symmetrization, one closed-form level at
+    a time (``_extend``): the algebraic route, the oracle of the CLI's
+    series route."""
     jet = CurvatureJet(s.space, [])
     for h in s.levels:
         jet = _extend(jet, h)
     return jet
-

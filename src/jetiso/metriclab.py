@@ -295,14 +295,15 @@ def _covariant_derivative_dict(t, arity, gamma, n, trunc):
     and the products accumulate in place (``poly._graded_mul_into``).
     In normal coordinates Gamma(0) = 0, so a Christoffel entry only meets
     components of degree < trunc: each component is graded to trunc - 1,
-    and at trunc 0 the result is the derivative terms alone.
+    and at trunc 0 the result is the derivative terms alone.  Those cut
+    each component to degree trunc + 1 and differentiate it only by the
+    variables it then holds.
     """
     out = defaultdict(dict)
     for idx, p in t.items():
-        for j in range(n):
-            d = p.diff(j).truncated(trunc)
-            if not d.is_zero():
-                out[(j,) + idx] = d.coeffs
+        low = p.truncated(trunc + 1)
+        for j in sorted(set().union(*low.coeffs)):
+            out[(j,) + idx] = low.diff(j).coeffs
     zero = Poly.zero(n)
     if trunc == 0:
         return {key: zero._with(coeffs) for key, coeffs in out.items()}

@@ -216,7 +216,7 @@ def suite_transport(n: int, max_k: int, seed: int = 0, trials: int = 3):
 
 def suite_extension(n: int, max_k: int, seed: int = 0, trials: int = 2):
     """extend_jet (the series route) against the algebraic route: the
-    solve of the symmetrized jet padded with a zero top level, whose
+    closed form of the symmetrized jet padded with a zero top level, whose
     truncation is the jet that gets extended."""
     space = Space.euclidean(n)
     out = []
@@ -227,15 +227,15 @@ def suite_extension(n: int, max_k: int, seed: int = 0, trials: int = 2):
         for _ in range(trials):
             s = random_symjet(space, k, rng)
             padded = SymJet(space, s.levels + [SymPairTensor.zero(space, k + 3)])
-            solved = jet_from_symjet(padded)
-            ext = extend_jet(solved.truncated(k))
+            algebraic = jet_from_symjet(padded)
+            ext = extend_jet(algebraic.truncated(k))
             if validate_jet(ext):
                 ok = False
                 detail = "extension is not a valid jet"
             if symmetrize_jet(ext, validate=False) != padded:
                 ok = False
                 detail = "extension does not symmetrize to the padded symjet"
-            if ext != solved:
+            if ext != algebraic:
                 ok = False
                 detail = "extension differs from the algebraic route"
         out.append(_result(f"extension.dual-routes-n{n}-k{k}", ok, detail))

@@ -274,7 +274,7 @@ def test_criterion_10_jet_extension():
                 assert validate_jet(ext) == [], (n, k)
                 for level in range(k + 1):
                     assert ext.levels[level] == jet.levels[level], (n, k, level)
-                # algebraic route: the solve of the padded symmetrized jet
+                # algebraic route: the closed form of the padded symmetrized jet
                 s = symmetrize_jet(jet)
                 padded = SymJet(space, s.levels + [SymPairTensor.zero(space, k + 3)])
                 assert ext == jet_from_symjet(padded), (n, k)

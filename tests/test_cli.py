@@ -165,7 +165,7 @@ class TestExamplePipeline:
 class TestSeriesRoute:
     def test_example_and_extend_never_solve(self, tmp_path, capsys, monkeypatch):
         # the CLI converts a symjet to a jet through the metric; the
-        # Bianchi solve is only the algebraic oracle of verify and the tests
+        # Bianchi system builds only the linear basis of verify and the tests
         def refuse(*args, **kwargs):
             raise AssertionError("the Bianchi system was built")
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra: rref, nullspace, affine solve.
+"""Exact linear algebra: rref, nullspace, and the affine solve of the
+Bianchi-solve oracle (``bianchi_oracle.solve_affine``).
 
 The rank oracle is an independent fraction-free Bareiss elimination
 over the integers, written before the tests and kept frozen.
@@ -18,8 +19,9 @@ from jetiso.exactla import (
     nullspace_basis,
     parse_rational,
     rref,
-    solve_affine,
 )
+
+from bianchi_oracle import solve_affine
 
 
 def mat_vec(m: RatMatrix, v):

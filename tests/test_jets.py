@@ -15,9 +15,12 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from bianchi_oracle import solve_jet_from_symjet
+from jetiso import exactla, jets
 from jetiso.jets import (
     CurvatureJet,
     InvalidJetError,
@@ -26,6 +29,8 @@ from jetiso.jets import (
     Violation,
     _canonical_curvature_index,
     _integral_dilation,
+    _arrangements,
+    _project_b2,
     _sign_split,
     _symmetrize_level,
     _worst_index,
@@ -508,6 +513,14 @@ class TestSignConsistentMutations:
     def test_unfold_skips_zeros(self):
         assert _unfold({(0, 1, 0, 1): 0}) == {}
 
+    def test_each_level_split_once(self, monkeypatch):
+        # the Ricci checks read the splits the other checks made
+        calls = []
+        split = jets._sign_split
+        monkeypatch.setattr(jets, "_sign_split", lambda t: calls.append(t.arity) or split(t))
+        assert validate_jet(oracle_jet(L3, 3, seed=11)) == []
+        assert calls == [4, 5, 6, 7]
+
 
 class TestSymmetrize:
     def test_constant_curvature_concentrates(self):
@@ -679,8 +692,8 @@ class TestExtension:
             assert validate_jet(ext) == []
             for level in range(order + 1):
                 assert ext.levels[level] == jet.levels[level]
-            # equal to the algebraic route's solve of the symmetrized jet
-            # padded with a zero top level
+            # equal to the algebraic route's closed form of the symmetrized
+            # jet padded with a zero top level
             s = symmetrize_jet(jet)
             padded = SymJet(space, s.levels + [SymPairTensor.zero(space, order + 3)])
             assert ext == jet_from_symjet(padded)
@@ -715,6 +728,64 @@ class TestExtension:
             jet_from_symjet(SymJet(E2, [bad, s.levels[1]]))
 
 
+class TestClosedForm:
+    """``jet_from_symjet`` builds each level in closed form from its
+    symmetrization and the Ricci right sides; the Bianchi solve of
+    ``bianchi_oracle`` is its independent oracle."""
+
+    @pytest.mark.parametrize("n,order", [(2, 3), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("lorentzian", [False, True], ids=["e", "l"])
+    def test_matches_bianchi_solve(self, n, order, lorentzian):
+        space = Space(n, ((-1,) if lorentzian else (1,)) + (1,) * (n - 1))
+        s = random_symjet(space, order, random.Random(13 * n + order))
+        assert jet_from_symjet(s) == solve_jet_from_symjet(s)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_eigenvalues_from_minimal_polynomial(self, k):
+        # A = P~ B2 = c P_V B2 on V, c = 24 k!: it kills the component of
+        # reconstruct_linear and acts by c nu1, c nu2 on the other two, so
+        # A^3 x = c (nu1 + nu2) A^2 x - c^2 nu1 nu2 A x on a random x of V
+        def act(y):
+            # y is held on sorted derivative slots: spread it over their arrangements
+            return _project_b2({arr + key[k:]: v for key, v in y.items()
+                                for arr in _arrangements(key[:k])}, k)
+
+        rng = random.Random(k)
+        x = {idx: rng.randint(-3, 3) for idx in itertools.product(range(3), repeat=k + 4)
+             if idx[-4] < idx[-3] and idx[-2] < idx[-1]}
+        y1 = act(_project_b2(x, k))
+        y2 = act(y1)
+        y3 = act(y2)
+        keys = sorted(y1.keys() | y2.keys() | y3.keys())
+        rows = [(y2.get(key, 0), y1.get(key, 0), y3.get(key, 0)) for key in keys]
+        # the two coefficients from the Gram system, then checked at every key
+        gram = [[sum(F(r[i]) * r[j] for r in rows) for j in range(3)] for i in range(2)]
+        det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+        assert det
+        alpha = (gram[0][2] * gram[1][1] - gram[0][1] * gram[1][2]) / det
+        beta = (gram[0][0] * gram[1][2] - gram[1][0] * gram[0][2]) / det
+        assert all(r[2] == alpha * r[0] + beta * r[1] for r in rows)
+        c = 24 * factorial(k)
+        nu1, nu2 = F(k + 2, k), F(k + 3, 2 * k)
+        assert (alpha / c, -beta / c ** 2) == (nu1 + nu2, nu1 * nu2)
+        h = random_symjet(E3, k, rng).levels[k]
+        linear = reconstruct_linear(h).coeffs
+        assert _project_b2({i: v for i, v in linear.items() if i[-4] < i[-3] and i[-2] < i[-1]},
+                           k) == {}
+
+    def test_never_solves(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a linear system was built or solved")
+
+        for name in ("jetiso.jets._bianchi_system", "jetiso.jets.nullspace_basis",
+                     "jetiso.exactla.rref"):
+            monkeypatch.setattr(name, refuse)
+        assert not hasattr(exactla, "solve_affine")
+        for space in (E3, L3):
+            s = random_symjet(space, 3, random.Random(17))
+            assert symmetrize_jet(jet_from_symjet(s)) == s
+
+
 class TestLayering:
     def test_conversions_do_not_load_metriclab(self):
         import jetiso
@@ -738,10 +809,12 @@ class TestLayering:
 
 
 class TestPinnedOutputs:
-    """Exact outputs of the Bianchi-system solves, pinned by digest.
+    """Exact outputs of the linear basis and of the algebraic route, pinned
+    by digest.
 
-    Property tests (valid, spans, counts) accept any basis or particular
-    solution; these digests catch a change in which one comes out.
+    Property tests (valid, spans, counts) accept any basis; these digests
+    catch a change in which one comes out, and in the extensions, which
+    the Bianchi solve with Ricci rows produced when they were pinned.
     """
 
     def test_basis_and_extension_digest(self):
@@ -754,7 +827,7 @@ class TestPinnedOutputs:
                         h.update(json.dumps(b.to_json_obj(), sort_keys=True).encode())
                 for order in (0, 1):
                     s = random_symjet(space, order, random.Random(71 + 10 * n + order))
-                    # the extension by the solve: a zero top level
+                    # the extension of the algebraic route: a zero top level
                     padded = SymJet(space, s.levels + [SymPairTensor.zero(space, order + 3)])
                     ext = jet_from_symjet(padded)
                     h.update(json.dumps(ext.to_json_obj(), sort_keys=True).encode())

@@ -572,6 +572,19 @@ class TestSparseMetrics:
         want = CurvatureJet(space, [MultiTensor(space, t.arity, t.coeffs) for t in jet2.levels])
         assert curvature_jet_at_origin(g, 2) == want
 
+    def test_derivatives_follow_held_variables(self, monkeypatch):
+        # every series is differentiated only by the variables it holds, so the
+        # plane metric makes as many Poly.diff calls embedded at n=1000 as at n=2
+        obj = random_normal_metric(Space(2, (-1, 1)), 6, random.Random(1)).to_json_obj()
+        obj["n"], obj["signature"] = 1000, [-1] + [1] * 999
+        g = PolyMetric.from_json_obj(obj)
+        calls = []
+        diff = Poly.diff
+        monkeypatch.setattr(Poly, "diff", lambda p, i: calls.append(i) or diff(p, i))
+        jet = curvature_jet_at_origin(g, 4)
+        assert len(calls) == 40 and set(calls) == {0, 1}
+        assert all(t and {i for idx in t.coeffs for i in idx} == {0, 1} for t in jet.levels)
+
     def test_flat_pairs_form_no_product(self, monkeypatch):
         # the curvature scatters over stored Christoffel entries, and a flat metric stores none
         g = make_normal_metric(Space.euclidean(40), [])
